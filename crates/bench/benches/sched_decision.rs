@@ -5,7 +5,8 @@
 //! task-centric assignment. We measure:
 //!
 //! * the naive `O(T·I)` weight evaluation (direct file probing),
-//! * the indexed `O(T)` evaluation (this library's incremental fast path),
+//! * the ranked `O(log T)` pick off the per-site priority index (this
+//!   library's incremental fast path),
 //! * storage affinity's full `O(T·I·S)` assignment phase,
 //!
 //! at several queue lengths `T`.
@@ -14,9 +15,12 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use gridsched_core::index::{weigh_all_indexed, FileIndex, SiteView};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use gridsched_core::index::{enable_ranks, ComboAggregates, FileIndex, SiteView};
 use gridsched_core::weight::weigh_all_naive;
-use gridsched_core::{GridEnv, Scheduler, StorageAffinity, TaskPool, WeightMetric};
+use gridsched_core::{ChooseTask, GridEnv, Scheduler, StorageAffinity, TaskPool, WeightMetric};
 use gridsched_storage::{EvictionPolicy, SiteStore};
 use gridsched_workload::coadd::CoaddConfig;
 use gridsched_workload::Workload;
@@ -44,16 +48,22 @@ fn bench_decision(c: &mut Criterion) {
         let store = warm_store(&workload, 3000);
         let pool = TaskPool::full(workload.task_count());
         let index = FileIndex::build(&workload);
-        let mut view = SiteView::new(workload.task_count());
-        for f in store.resident() {
-            view.on_file_added(&index, f, store.ref_count(f));
-        }
+        let chooser = ChooseTask::new(1);
 
         for metric in [
             WeightMetric::Overlap,
             WeightMetric::Rest,
             WeightMetric::Combined,
         ] {
+            let mut view = SiteView::new(workload.task_count());
+            let mut combo = ComboAggregates::new(&index, &pool, 1);
+            for f in store.resident() {
+                view.on_file_added(&index, f, store.ref_count(f));
+                combo.on_file_added(0, &index, &view, f, store.ref_count(f), &pool);
+            }
+            enable_ranks(std::slice::from_mut(&mut view), metric, &index, &pool);
+            let totals = (metric == WeightMetric::Combined).then(|| combo.totals(0));
+            let mut rng = StdRng::seed_from_u64(0);
             group.bench_with_input(
                 BenchmarkId::new(format!("naive_OTI_{metric}"), tasks),
                 &tasks,
@@ -64,10 +74,17 @@ fn bench_decision(c: &mut Criterion) {
                 },
             );
             group.bench_with_input(
-                BenchmarkId::new(format!("indexed_OT_{metric}"), tasks),
+                BenchmarkId::new(format!("ranked_OlogT_{metric}"), tasks),
                 &tasks,
                 |b, _| {
-                    b.iter(|| std::hint::black_box(weigh_all_indexed(metric, &index, &pool, &view)))
+                    b.iter(|| {
+                        std::hint::black_box(view.pick_ranked(
+                            &chooser,
+                            &mut rng,
+                            |t| pool.contains(t),
+                            totals,
+                        ))
+                    })
                 },
             );
         }

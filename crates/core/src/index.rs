@@ -44,8 +44,8 @@
 //! over the task's files — flat in `S` for data-local workloads — instead
 //! of `O(S)`.
 //!
-//! None of this changes any scheduling decision — [`weigh_all_indexed`]
-//! and the ranked picks are property-tested to agree exactly with
+//! None of this changes any scheduling decision — the ranked picks are
+//! property-tested to agree exactly with
 //! [`crate::weight::weigh_all_naive`] plus [`crate::choose::ChooseTask`] —
 //! it only changes the constant/complexity; the `sched_decision` criterion
 //! bench and the `perf_scale` harness quantify the gap.
@@ -1087,54 +1087,6 @@ impl ComboAggregates {
     }
 }
 
-/// Indexed equivalent of [`weigh_all_naive`]: `O(T)` per decision.
-///
-/// [`weigh_all_naive`]: crate::weight::weigh_all_naive
-#[must_use]
-pub fn weigh_all_indexed(
-    metric: WeightMetric,
-    index: &FileIndex,
-    pool: &TaskPool,
-    view: &SiteView,
-) -> Vec<(TaskId, f64)> {
-    match metric {
-        WeightMetric::Overlap => pool
-            .iter()
-            .map(|t| (t, f64::from(view.overlap(t))))
-            .collect(),
-        WeightMetric::Rest => pool
-            .iter()
-            .map(|t| {
-                let missing = (index.task_size(t) - view.overlap(t)) as usize;
-                (t, rest_weight(missing))
-            })
-            .collect(),
-        WeightMetric::Combined => {
-            let mut per_task: Vec<(TaskId, u64, usize)> = Vec::with_capacity(pool.len());
-            let mut total_ref: u64 = 0;
-            let mut missing_counts: Vec<u32> = Vec::new();
-            for t in pool.iter() {
-                let missing = (index.task_size(t) - view.overlap(t)) as usize;
-                let ref_t = view.refsum(t);
-                total_ref += ref_t;
-                if missing >= missing_counts.len() {
-                    missing_counts.resize(missing + 1, 0);
-                }
-                missing_counts[missing] += 1;
-                per_task.push((t, ref_t, missing));
-            }
-            let total_rest = total_rest_from_counts(missing_counts.iter().copied());
-            per_task
-                .into_iter()
-                .map(|(t, ref_t, missing)| {
-                    let rest_t = rest_weight(missing);
-                    (t, combined_weight(ref_t, rest_t, total_ref, total_rest))
-                })
-                .collect()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1208,8 +1160,10 @@ mod tests {
         assert_eq!(view.refsum(TaskId(0)), 0);
     }
 
+    /// The overlap and refsum counters every rank is keyed on track the
+    /// store through inserts and task references.
     #[test]
-    fn indexed_matches_naive_on_example() {
+    fn view_counters_match_store_on_example() {
         let workload = wl();
         let idx = FileIndex::build(&workload);
         let mut store = SiteStore::new(10, EvictionPolicy::Lru);
@@ -1217,19 +1171,11 @@ mod tests {
         for f in [0u32, 2] {
             store.insert(FileId(f));
             view.on_file_added(&idx, FileId(f), store.ref_count(FileId(f)));
+            view.assert_consistent(&idx, &workload, &store);
         }
         store.record_task_reference(FileId(2));
         view.on_task_reference(&idx, FileId(2));
-        let pool = TaskPool::full(3);
-        for metric in [
-            WeightMetric::Overlap,
-            WeightMetric::Rest,
-            WeightMetric::Combined,
-        ] {
-            let naive = crate::weight::weigh_all_naive(metric, &workload, &pool, &store);
-            let indexed = weigh_all_indexed(metric, &idx, &pool, &view);
-            assert_eq!(naive, indexed, "metric {metric}");
-        }
+        view.assert_consistent(&idx, &workload, &store);
     }
 }
 
@@ -1486,8 +1432,10 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
+        /// The overlap and refsum counters every rank is keyed on match the
+        /// store after every insert, eviction and task reference.
         #[test]
-        fn indexed_always_matches_naive(
+        fn view_counters_always_match_store(
             workload in arb_workload(),
             ops in arb_ops(),
             cap in 1usize..8,
@@ -1495,7 +1443,6 @@ mod proptests {
             let idx = FileIndex::build(&workload);
             let mut store = SiteStore::new(cap, EvictionPolicy::Lru);
             let mut view = SiteView::new(workload.task_count());
-            let mut pool = TaskPool::full(workload.task_count());
             for op in ops {
                 match op {
                     Op::Insert(f) => {
@@ -1515,17 +1462,10 @@ mod proptests {
                             view.on_task_reference(&idx, f);
                         }
                     }
-                    Op::RemoveTask(t) => {
-                        if (t as usize) < workload.task_count() {
-                            pool.remove(TaskId(t));
-                        }
-                    }
+                    // Pool membership does not touch the counters.
+                    Op::RemoveTask(_) => {}
                 }
-                for metric in [WeightMetric::Overlap, WeightMetric::Rest, WeightMetric::Combined] {
-                    let naive = crate::weight::weigh_all_naive(metric, &workload, &pool, &store);
-                    let indexed = weigh_all_indexed(metric, &idx, &pool, &view);
-                    prop_assert_eq!(naive, indexed, "metric {}", metric);
-                }
+                view.assert_consistent(&idx, &workload, &store);
             }
         }
 

@@ -38,8 +38,6 @@ pub enum EvalMode {
     /// The default.
     #[default]
     Incremental,
-    /// Per-decision scan over incrementally-cached counters: `O(T)`.
-    Indexed,
     /// Per-decision direct file probing — the paper's stated `O(T·I)`
     /// complexity (§4.4); kept for validation and benchmarking.
     Naive,
@@ -49,7 +47,6 @@ impl fmt::Display for EvalMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             EvalMode::Incremental => "incremental",
-            EvalMode::Indexed => "indexed",
             EvalMode::Naive => "naive",
         };
         f.write_str(s)
@@ -62,11 +59,8 @@ impl std::str::FromStr for EvalMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "incremental" => Ok(EvalMode::Incremental),
-            "indexed" => Ok(EvalMode::Indexed),
             "naive" => Ok(EvalMode::Naive),
-            other => Err(format!(
-                "unknown eval mode `{other}` (incremental|indexed|naive)"
-            )),
+            other => Err(format!("unknown eval mode `{other}` (incremental|naive)")),
         }
     }
 }

@@ -186,9 +186,8 @@ impl StorageAffinity {
     }
 
     /// Switches the replica-selection path (see [`EvalMode`]): `Naive`
-    /// probes the idle worker's store directly (`O(T·I)`), `Indexed` scans
-    /// the cached per-site counters (`O(T)`), `Incremental` (default)
-    /// reads the overlap-ordered priority index (`O(log T)`). Call before
+    /// probes the idle worker's store directly (`O(T·I)`), `Incremental`
+    /// (default) reads the overlap-ordered priority index (`O(log T)`). Call before
     /// [`Scheduler::initialize`].
     #[must_use]
     pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
@@ -267,23 +266,6 @@ impl StorageAffinity {
                         .get(&t)
                         .is_some_and(|workers| workers.contains(&worker))
                 })
-            }
-            // O(T): scan the cached per-site counters.
-            EvalMode::Indexed => {
-                let excluded = |t: &TaskId| {
-                    self.capped(*t)
-                        || self
-                            .running
-                            .get(t)
-                            .is_some_and(|workers| workers.contains(&worker))
-                };
-                let view = &self.views[worker.site.index()];
-                self.pending
-                    .iter()
-                    .filter(|t| !excluded(t))
-                    .map(|t| (view.overlap(t), std::cmp::Reverse(t)))
-                    .max()
-                    .map(|(_, std::cmp::Reverse(t))| t)
             }
             // O(T·I): probe the store directly, the paper's task-centric
             // per-decision cost.
@@ -756,11 +738,10 @@ mod tests {
         let mut stores: Vec<SiteStore> = (0..2)
             .map(|_| SiteStore::new(40, EvictionPolicy::Lru))
             .collect();
-        let mut scheds: Vec<StorageAffinity> =
-            [EvalMode::Incremental, EvalMode::Indexed, EvalMode::Naive]
-                .into_iter()
-                .map(mk)
-                .collect();
+        let mut scheds: Vec<StorageAffinity> = [EvalMode::Incremental, EvalMode::Naive]
+            .into_iter()
+            .map(mk)
+            .collect();
         for s in &mut scheds {
             s.initialize(&env, &stores);
         }
@@ -790,7 +771,6 @@ mod tests {
                 .map(|s| s.on_worker_idle(w0, &stores[0]))
                 .collect();
             assert_eq!(picks[0], picks[1], "step {step}");
-            assert_eq!(picks[0], picks[2], "step {step}");
             match picks[0] {
                 Assignment::Run(t) => {
                     for s in &mut scheds {
@@ -814,7 +794,6 @@ mod tests {
             .map(|s| s.on_worker_idle(w1, &stores[1]))
             .collect();
         assert_eq!(picks[0], picks[1]);
-        assert_eq!(picks[0], picks[2]);
     }
 
     /// Completes every task except `keep` (as if other workers had run

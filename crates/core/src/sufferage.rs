@@ -133,9 +133,9 @@ impl Sufferage {
         }
     }
 
-    /// Switches the evaluation path (see [`EvalMode`]; `Naive` and
-    /// `Indexed` both mean the per-decision `O(T·S)` scan here — sufferage
-    /// cannot probe remote stores directly). Call before
+    /// Switches the evaluation path (see [`EvalMode`]; `Naive` means the
+    /// per-decision `O(T·S)` scan here — sufferage cannot probe remote
+    /// stores directly). Call before
     /// [`Scheduler::initialize`].
     #[must_use]
     pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
@@ -460,7 +460,7 @@ mod tests {
         let stores_init: Vec<SiteStore> = (0..3)
             .map(|_| SiteStore::new(4, EvictionPolicy::Lru))
             .collect();
-        let mut scan = Sufferage::new(Arc::clone(&wl)).with_eval_mode(EvalMode::Indexed);
+        let mut scan = Sufferage::new(Arc::clone(&wl)).with_eval_mode(EvalMode::Naive);
         let mut inc = Sufferage::new(wl);
         scan.initialize(&env, &stores_init);
         inc.initialize(&env, &stores_init);

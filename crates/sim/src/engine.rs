@@ -266,12 +266,6 @@ struct CkptState {
     vaults: Vec<ImageVault>,
     /// Which site holds each task's latest image.
     tracker: ImageTracker,
-    /// Executions that resumed from an image.
-    restores: u64,
-    /// Compute stalls while writing images + restore transfer time.
-    overhead_s: f64,
-    /// Compute-seconds restores rescued from re-execution.
-    work_saved_s: f64,
     /// Per-site access-link write cost of one image, seconds — kept so
     /// the adaptive Young/Daly loop can re-derive `interval_s` at tick
     /// time from the *observed* failure process.
@@ -393,6 +387,51 @@ impl XferGuard {
     }
 }
 
+/// The engine's cached instrument handles (the facade's registry lookup
+/// is a `BTreeMap` walk — too slow for per-event hot paths). Inert handles
+/// when the collector is disabled.
+struct Instruments {
+    wake_calls: Counter,
+    wake_fanout: Histogram,
+    wake_targeted: Counter,
+    control_ticks: Counter,
+    control_estimates: Counter,
+    control_cap_raises: Counter,
+    control_cap_lowers: Counter,
+    control_breaker_opens: Counter,
+    control_breaker_half_opens: Counter,
+    control_breaker_closes: Counter,
+    link_outages: Counter,
+    xfer_timeouts: Counter,
+    xfer_retries: Counter,
+    xfer_failovers: Counter,
+    xfer_bytes_resumed: Histogram,
+}
+
+impl Instruments {
+    /// Handles registered on `telemetry` under the canonical instrument
+    /// names.
+    fn attach(telemetry: &Telemetry) -> Self {
+        Instruments {
+            wake_calls: telemetry.counter("engine.wake.calls"),
+            wake_fanout: telemetry.histogram("engine.wake.fanout"),
+            wake_targeted: telemetry.counter("engine.wake.targeted"),
+            control_ticks: telemetry.counter("control.ticks"),
+            control_estimates: telemetry.counter("control.estimator.updates"),
+            control_cap_raises: telemetry.counter("control.cap.raises"),
+            control_cap_lowers: telemetry.counter("control.cap.lowers"),
+            control_breaker_opens: telemetry.counter("control.breaker.opens"),
+            control_breaker_half_opens: telemetry.counter("control.breaker.half_opens"),
+            control_breaker_closes: telemetry.counter("control.breaker.closes"),
+            link_outages: telemetry.counter("net.link.outages"),
+            xfer_timeouts: telemetry.counter("xfer.timeouts"),
+            xfer_retries: telemetry.counter("xfer.retries"),
+            xfer_failovers: telemetry.counter("xfer.failovers"),
+            xfer_bytes_resumed: telemetry.histogram("xfer.bytes_resumed"),
+        }
+    }
+}
+
 /// One deterministic simulation run. See the [crate docs](crate) for an
 /// example.
 pub struct GridSim {
@@ -432,11 +471,8 @@ pub struct GridSim {
     /// recording through it is provably inert either way — no RNG draw, no
     /// event, no effect on any scheduling decision.
     telemetry: Telemetry,
-    /// Cached wake-path instruments (the facade's registry lookup is a
-    /// `BTreeMap` walk — too slow for a per-completion hot path).
-    wake_calls: Counter,
-    wake_fanout: Histogram,
-    wake_targeted: Counter,
+    /// Cached engine instruments.
+    instruments: Instruments,
     flow_purpose: HashMap<FlowId, FlowPurpose>,
     replication: Option<ReplicationState>,
     replication_rng: rand::rngs::StdRng,
@@ -467,57 +503,14 @@ pub struct GridSim {
     /// Transfer-resilience layer (`None` keeps every guard code path
     /// dormant so the run matches the unguarded engine exactly).
     xfer: Option<XferGuard>,
-    /// Cached controller instruments (same rationale as the wake-path
-    /// handles: the registry lookup is too slow for per-event hot paths).
-    control_ticks: Counter,
-    control_estimates: Counter,
-    control_cap_raises: Counter,
-    control_cap_lowers: Counter,
-    control_breaker_opens: Counter,
-    control_breaker_half_opens: Counter,
-    control_breaker_closes: Counter,
     /// Tasks that were fault-orphaned at least once (re-execution
     /// accounting).
     lost_ever: Vec<bool>,
-    // --- metrics ---
-    per_site: Vec<SiteMetrics>,
-    tasks_completed: u64,
-    replicas_launched: u64,
-    replicas_cancelled: u64,
-    replicas_completed: u64,
-    primaries_cancelled: u64,
-    replicas_lost: u64,
-    cancelled_bytes: f64,
-    replication_pushes: u64,
-    replication_bytes: f64,
+    /// The run's metrics, accumulated in place by the handlers;
+    /// [`GridSim::report`] fills in the derived fields.
+    ledger: MetricsReport,
+    /// When the last task completed (the makespan).
     last_completion: SimTime,
-    tasks_lost: u64,
-    re_executions: u64,
-    worker_crashes: u64,
-    server_outages: u64,
-    wasted_compute_s: f64,
-    // --- network faults & transfer resilience ---
-    link_outages: u64,
-    link_downtime_s: f64,
-    xfer_timeouts: u64,
-    xfer_retries: u64,
-    xfer_failovers: u64,
-    xfer_bytes_resumed: f64,
-    xfer_bytes_retransmitted: f64,
-    /// Flow-conservation ledger: every started flow ends in exactly one
-    /// of completed/aborted/retrying/requeued (asserted in `report`).
-    flows_started: u64,
-    flows_completed: u64,
-    flows_aborted: u64,
-    flows_retrying: u64,
-    flows_requeued: u64,
-    /// Cached network-fault instruments (same rationale as the wake-path
-    /// handles).
-    link_outage_count: Counter,
-    xfer_timeout_count: Counter,
-    xfer_retry_count: Counter,
-    xfer_failover_count: Counter,
-    xfer_resumed_bytes: Histogram,
 }
 
 impl GridSim {
@@ -657,7 +650,6 @@ impl GridSim {
         let replication = config
             .replication
             .map(|rc| ReplicationState::new(rc, config.workload.file_count()));
-        let per_site = vec![SiteMetrics::default(); config.sites];
         let site_routes: Vec<Arc<Route>> = (0..config.sites)
             .map(|s| Arc::new(topology.routes.site_to_file_server(s).clone()))
             .collect();
@@ -702,6 +694,11 @@ impl GridSim {
             .transfer_timeout_mult
             .map(|mult| XferGuard::new(&config, mult));
         let parked = vec![BTreeSet::new(); config.sites];
+        let ledger = MetricsReport {
+            config: config.summary(),
+            per_site: vec![SiteMetrics::default(); config.sites],
+            ..MetricsReport::default()
+        };
         GridSim {
             replication_rng: rng_for(config.seed, Stream::Replication),
             config,
@@ -716,21 +713,7 @@ impl GridSim {
             parked,
             parked_count: 0,
             throttled,
-            wake_calls: telemetry.counter("engine.wake.calls"),
-            wake_fanout: telemetry.histogram("engine.wake.fanout"),
-            wake_targeted: telemetry.counter("engine.wake.targeted"),
-            control_ticks: telemetry.counter("control.ticks"),
-            control_estimates: telemetry.counter("control.estimator.updates"),
-            control_cap_raises: telemetry.counter("control.cap.raises"),
-            control_cap_lowers: telemetry.counter("control.cap.lowers"),
-            control_breaker_opens: telemetry.counter("control.breaker.opens"),
-            control_breaker_half_opens: telemetry.counter("control.breaker.half_opens"),
-            control_breaker_closes: telemetry.counter("control.breaker.closes"),
-            link_outage_count: telemetry.counter("net.link.outages"),
-            xfer_timeout_count: telemetry.counter("xfer.timeouts"),
-            xfer_retry_count: telemetry.counter("xfer.retries"),
-            xfer_failover_count: telemetry.counter("xfer.failovers"),
-            xfer_resumed_bytes: telemetry.histogram("xfer.bytes_resumed"),
+            instruments: Instruments::attach(&telemetry),
             telemetry,
             flow_purpose: HashMap::new(),
             replication,
@@ -744,34 +727,8 @@ impl GridSim {
             link_window,
             xfer,
             lost_ever,
-            per_site,
-            tasks_completed: 0,
-            replicas_launched: 0,
-            replicas_cancelled: 0,
-            replicas_completed: 0,
-            primaries_cancelled: 0,
-            replicas_lost: 0,
-            cancelled_bytes: 0.0,
-            replication_pushes: 0,
-            replication_bytes: 0.0,
+            ledger,
             last_completion: SimTime::ZERO,
-            tasks_lost: 0,
-            re_executions: 0,
-            worker_crashes: 0,
-            server_outages: 0,
-            wasted_compute_s: 0.0,
-            link_outages: 0,
-            link_downtime_s: 0.0,
-            xfer_timeouts: 0,
-            xfer_retries: 0,
-            xfer_failovers: 0,
-            xfer_bytes_resumed: 0.0,
-            xfer_bytes_retransmitted: 0.0,
-            flows_started: 0,
-            flows_completed: 0,
-            flows_aborted: 0,
-            flows_retrying: 0,
-            flows_requeued: 0,
         }
     }
 
@@ -784,21 +741,7 @@ impl GridSim {
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.scheduler.attach_telemetry(&telemetry);
         self.net.attach_telemetry(&telemetry);
-        self.wake_calls = telemetry.counter("engine.wake.calls");
-        self.wake_fanout = telemetry.histogram("engine.wake.fanout");
-        self.wake_targeted = telemetry.counter("engine.wake.targeted");
-        self.control_ticks = telemetry.counter("control.ticks");
-        self.control_estimates = telemetry.counter("control.estimator.updates");
-        self.control_cap_raises = telemetry.counter("control.cap.raises");
-        self.control_cap_lowers = telemetry.counter("control.cap.lowers");
-        self.control_breaker_opens = telemetry.counter("control.breaker.opens");
-        self.control_breaker_half_opens = telemetry.counter("control.breaker.half_opens");
-        self.control_breaker_closes = telemetry.counter("control.breaker.closes");
-        self.link_outage_count = telemetry.counter("net.link.outages");
-        self.xfer_timeout_count = telemetry.counter("xfer.timeouts");
-        self.xfer_retry_count = telemetry.counter("xfer.retries");
-        self.xfer_failover_count = telemetry.counter("xfer.failovers");
-        self.xfer_resumed_bytes = telemetry.histogram("xfer.bytes_resumed");
+        self.instruments = Instruments::attach(&telemetry);
         self.telemetry = telemetry;
         self
     }
@@ -1004,7 +947,7 @@ impl GridSim {
             &mut out,
             "gridsched_tasks_completed_total",
             &[],
-            self.tasks_completed as f64,
+            self.ledger.tasks_completed as f64,
         );
         out.push_str("# TYPE gridsched_run_info gauge\n");
         expose::write_sample(
@@ -1076,27 +1019,27 @@ impl GridSim {
     /// boundary — in-flight segments are never rescheduled).
     fn control_tick(&mut self, at: SimTime) {
         let mut plane = self.control.take().expect("tick implies a control plane");
-        self.control_ticks.incr();
+        self.instruments.control_ticks.incr();
         // Cancelled *or* fault-lost replicas both count as speculative
         // waste the throttle should react to.
         let outcome = plane.tick(
             at.as_secs(),
-            self.replicas_cancelled + self.replicas_lost,
-            self.replicas_completed,
+            self.ledger.replicas_cancelled + self.ledger.replicas_lost,
+            self.ledger.replicas_completed,
         );
         if let Some(cap) = outcome.new_cap {
             self.scheduler
                 .on_control(&ControlDirective::SetReplicaCap(cap));
             if outcome.cap_raised {
-                self.control_cap_raises.incr();
+                self.instruments.control_cap_raises.incr();
                 // The raise re-admits parked replica candidates.
                 self.wake_parked();
             } else {
-                self.control_cap_lowers.incr();
+                self.instruments.control_cap_lowers.incr();
             }
         }
         for &site in &outcome.half_opened {
-            self.control_breaker_half_opens.incr();
+            self.instruments.control_breaker_half_opens.incr();
             // Half-open re-admits the site's traffic (the dispatch gate
             // only blocks while fully open): wake every parked worker.
             // The first crash re-trips the breaker for a fresh cooldown;
@@ -1198,10 +1141,10 @@ impl GridSim {
             Assignment::Run(task) | Assignment::Replicate(task) => {
                 let is_replica = matches!(assignment, Assignment::Replicate(_));
                 if is_replica {
-                    self.replicas_launched += 1;
+                    self.ledger.replicas_launched += 1;
                 }
                 if self.lost_ever[task.index()] {
-                    self.re_executions += 1;
+                    self.ledger.re_executions += 1;
                 }
                 self.workers[w].state = WorkerState::WaitingData;
                 self.workers[w].current = Some(RunningTask::new(task, is_replica));
@@ -1256,9 +1199,9 @@ impl GridSim {
     /// decision — is unchanged). Entries whose worker has since crashed
     /// are silently dropped. `O(1)` when nothing is parked.
     fn wake_parked(&mut self) {
-        self.wake_calls.incr();
+        self.instruments.wake_calls.incr();
         if self.parked_count == 0 {
-            self.wake_fanout.record(0);
+            self.instruments.wake_fanout.record(0);
             return;
         }
         let mut list: Vec<usize> = Vec::new();
@@ -1267,7 +1210,7 @@ impl GridSim {
         }
         self.parked_count = 0;
         list.sort_unstable();
-        self.wake_fanout.record(list.len() as u64);
+        self.instruments.wake_fanout.record(list.len() as u64);
         for w in list {
             if self.workers[w].state == WorkerState::Parked {
                 self.workers[w].state = WorkerState::Idle;
@@ -1282,7 +1225,7 @@ impl GridSim {
     /// entries (workers that crashed since parking) are dropped along the
     /// way.
     fn wake_one_parked(&mut self, site: usize) {
-        self.wake_targeted.incr();
+        self.instruments.wake_targeted.incr();
         while let Some(w) = self.parked[site].pop_first() {
             self.parked_count -= 1;
             if self.workers[w].state == WorkerState::Parked {
@@ -1335,7 +1278,7 @@ impl GridSim {
         let files: Vec<FileId> = self.config.workload.task(task).files().to_vec();
         // Waiting time: enqueue → service start (Table 3 column 1).
         let waited = (self.now() - request.enqueued_at).as_secs();
-        let sm = &mut self.per_site[site];
+        let sm = &mut self.ledger.per_site[site];
         sm.requests += 1;
         sm.waiting_time_s += waited;
         // Pin what is present; fetch the rest.
@@ -1392,7 +1335,7 @@ impl GridSim {
             let fid = self
                 .net
                 .start_flow(self.now(), &route.links, bytes, route.latency_s);
-            self.flows_started += 1;
+            self.ledger.flows_started += 1;
             self.flow_purpose.insert(fid, FlowPurpose::Batch { site });
             self.servers[site]
                 .active
@@ -1424,8 +1367,8 @@ impl GridSim {
         self.telemetry
             .span_end(Track::worker(w), "staging", self.now().as_secs());
         let transfer_time = (self.now() - batch.service_start).as_secs();
-        self.per_site[site].transfer_time_s += transfer_time;
-        self.per_site[site].tasks_started += 1;
+        self.ledger.per_site[site].transfer_time_s += transfer_time;
+        self.ledger.per_site[site].tasks_started += 1;
 
         let task = self.workers[w]
             .current
@@ -1479,8 +1422,8 @@ impl GridSim {
         if img_site == site {
             // Intra-site reads are free in the paper's model; the rescue
             // takes effect right now.
-            ckpt.restores += 1;
-            ckpt.work_saved_s += image.invested_s;
+            self.ledger.checkpoint_restores += 1;
+            self.ledger.work_saved_s += image.invested_s;
             return false;
         }
         // The image travels source site → backbone → destination site
@@ -1499,7 +1442,7 @@ impl GridSim {
         let fid = self
             .net
             .start_flow(self.now(), &links, size, src.latency_s + dst.latency_s);
-        self.flows_started += 1;
+        self.ledger.flows_started += 1;
         self.flow_purpose.insert(
             fid,
             FlowPurpose::Restore {
@@ -1604,7 +1547,7 @@ impl GridSim {
         let link = ckpt.access_link[site];
         let size = ckpt.size_bytes;
         let fid = self.net.start_flow(now, &[link], size, 0.0);
-        self.flows_started += 1;
+        self.ledger.flows_started += 1;
         self.flow_purpose
             .insert(fid, FlowPurpose::Checkpoint { worker: w });
         let current = self.workers[w].current.as_mut().expect("computing");
@@ -1633,7 +1576,7 @@ impl GridSim {
     fn handle_flow_done(&mut self, fid: FlowId) {
         self.net.finish_flow(self.now(), fid);
         self.net_handle = None;
-        self.flows_completed += 1;
+        self.ledger.flows_completed += 1;
         let purpose = self
             .flow_purpose
             .remove(&fid)
@@ -1656,8 +1599,8 @@ impl GridSim {
                     .map_or(self.config.workload.file_size_bytes, |g| {
                         g.slots[site].remaining
                     });
-                self.per_site[site].file_transfers += 1;
-                self.per_site[site].bytes_transferred += bytes;
+                self.ledger.per_site[site].file_transfers += 1;
+                self.ledger.per_site[site].bytes_transferred += bytes;
                 if self.xfer.is_some() {
                     let t_s = self.now().as_secs();
                     let src = self.xfer.as_ref().expect("checked").slots[site].source;
@@ -1733,9 +1676,9 @@ impl GridSim {
             }
             FlowPurpose::Replication { site, file } => {
                 let bytes = self.config.workload.file_size_bytes;
-                self.replication_bytes += bytes;
-                self.per_site[site].file_transfers += 1;
-                self.per_site[site].bytes_transferred += bytes;
+                self.ledger.replication_bytes += bytes;
+                self.ledger.per_site[site].file_transfers += 1;
+                self.ledger.per_site[site].bytes_transferred += bytes;
                 if !self.stores[site].contains(file) {
                     self.insert_file(site, file);
                 }
@@ -1753,8 +1696,8 @@ impl GridSim {
                 let (flops, invested) = current.pending_image.take().expect("image pending");
                 current.ckpt_flow = None;
                 let task = current.task;
+                self.ledger.checkpoint_overhead_s += (now - started).as_secs();
                 let ckpt = self.checkpointing.as_mut().expect("checkpoint flow");
-                ckpt.overhead_s += (now - started).as_secs();
                 // Only-improve: a lagging storage-affinity replica's image
                 // never clobbers a fresher one of the same task.
                 let fresher = ckpt
@@ -1793,10 +1736,9 @@ impl GridSim {
                 let started = current.ckpt_flow_started.take().expect("restore in flight");
                 current.ckpt_flow = None;
                 let saved = current.progress_s;
-                let ckpt = self.checkpointing.as_mut().expect("restore flow");
-                ckpt.overhead_s += (now - started).as_secs();
-                ckpt.restores += 1;
-                ckpt.work_saved_s += saved;
+                self.ledger.checkpoint_overhead_s += (now - started).as_secs();
+                self.ledger.checkpoint_restores += 1;
+                self.ledger.work_saved_s += saved;
                 self.telemetry
                     .span_end(Track::worker(worker), "restore", now.as_secs());
                 self.resync_net();
@@ -1811,7 +1753,7 @@ impl GridSim {
     fn insert_file(&mut self, site: usize, file: FileId) {
         let evicted = self.stores[site].insert(file);
         for e in evicted {
-            self.per_site[site].evictions += 1;
+            self.ledger.per_site[site].evictions += 1;
             self.scheduler
                 .on_file_evicted(SiteId(site as u32), e, self.stores[site].ref_count(e));
             if let Some(rep) = self.replication.as_mut() {
@@ -1868,7 +1810,7 @@ impl GridSim {
                 continue;
             };
             self.replication.as_mut().expect("checked").mark_pushed(f);
-            self.replication_pushes += 1;
+            self.ledger.replication_pushes += 1;
             let route = Arc::clone(&self.site_routes[target]);
             let fid = self.net.start_flow(
                 self.now(),
@@ -1876,7 +1818,7 @@ impl GridSim {
                 self.config.workload.file_size_bytes,
                 route.latency_s,
             );
-            self.flows_started += 1;
+            self.ledger.flows_started += 1;
             self.flow_purpose.insert(
                 fid,
                 FlowPurpose::Replication {
@@ -1944,9 +1886,9 @@ impl GridSim {
             self.stores[site].unpin(f);
         }
         self.workers[w].state = WorkerState::Idle;
-        self.tasks_completed += 1;
+        self.ledger.tasks_completed += 1;
         if was_replica {
-            self.replicas_completed += 1;
+            self.ledger.replicas_completed += 1;
         }
         self.last_completion = self.now();
         // A completion is the success signal a half-open breaker waits
@@ -1956,7 +1898,7 @@ impl GridSim {
             .as_mut()
             .is_some_and(|plane| plane.on_site_success(site, t));
         if breaker_closed {
-            self.control_breaker_closes.incr();
+            self.instruments.control_breaker_closes.incr();
             self.wake_site_parked(site);
         }
 
@@ -2055,10 +1997,10 @@ impl GridSim {
                                 g.slots[site].remaining
                             });
                         if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                            self.flows_aborted += 1;
-                            self.cancelled_bytes += left;
+                            self.ledger.flows_aborted += 1;
+                            self.ledger.cancelled_bytes += left;
                             let delivered = attempt_size - left;
-                            self.per_site[site].bytes_transferred += delivered.max(0.0);
+                            self.ledger.per_site[site].bytes_transferred += delivered.max(0.0);
                         }
                         self.resync_net();
                     }
@@ -2067,7 +2009,7 @@ impl GridSim {
                     // either way.
                     self.disarm_transfer_guard(site);
                     // Account the aborted service as transfer time spent.
-                    self.per_site[site].transfer_time_s +=
+                    self.ledger.per_site[site].transfer_time_s +=
                         (self.now() - batch.service_start).as_secs();
                     self.maybe_start_service(site);
                 }
@@ -2079,8 +2021,8 @@ impl GridSim {
                 if let Some(fid) = current.ckpt_flow {
                     self.flow_purpose.remove(&fid);
                     if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                        self.flows_aborted += 1;
-                        self.cancelled_bytes += left;
+                        self.ledger.flows_aborted += 1;
+                        self.ledger.cancelled_bytes += left;
                     }
                     self.resync_net();
                     self.account_aborted_ckpt_stall(current.ckpt_flow_started);
@@ -2095,17 +2037,17 @@ impl GridSim {
                 if let Some(fid) = current.ckpt_flow {
                     self.flow_purpose.remove(&fid);
                     if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                        self.flows_aborted += 1;
-                        self.cancelled_bytes += left;
+                        self.ledger.flows_aborted += 1;
+                        self.ledger.cancelled_bytes += left;
                     }
                     self.resync_net();
                     self.account_aborted_ckpt_stall(current.ckpt_flow_started);
                 }
                 // Committed-but-undurable segments are lost along with the
                 // in-flight segment; checkpointed work is not.
-                self.wasted_compute_s += current.progress_s - current.durable_s;
+                self.ledger.wasted_compute_s += current.progress_s - current.durable_s;
                 if let Some(started) = current.compute_started {
-                    self.wasted_compute_s += (self.now() - started).as_secs();
+                    self.ledger.wasted_compute_s += (self.now() - started).as_secs();
                 }
             }
             other => panic!("teardown_execution on worker in state {other:?}"),
@@ -2121,10 +2063,7 @@ impl GridSim {
     /// image never landed).
     fn account_aborted_ckpt_stall(&mut self, started: Option<SimTime>) {
         if let Some(started) = started {
-            let stalled = (self.now() - started).as_secs();
-            if let Some(ckpt) = self.checkpointing.as_mut() {
-                ckpt.overhead_s += stalled;
-            }
+            self.ledger.checkpoint_overhead_s += (self.now() - started).as_secs();
         }
     }
 
@@ -2140,9 +2079,9 @@ impl GridSim {
         // A losing *primary* (its replica won the race) is not a cancelled
         // replica flow — keep the speculative-waste accounting honest.
         if was_replica {
-            self.replicas_cancelled += 1;
+            self.ledger.replicas_cancelled += 1;
         } else {
-            self.primaries_cancelled += 1;
+            self.ledger.primaries_cancelled += 1;
         }
         self.workers[w].generation += 1;
         self.workers[w].state = WorkerState::Idle;
@@ -2267,8 +2206,8 @@ impl GridSim {
             LinkFaultMode::Degraded
         };
         self.link_window[link] = Some((mode, now));
-        self.link_outages += 1;
-        self.link_outage_count.incr();
+        self.ledger.link_outages += 1;
+        self.instruments.link_outages.incr();
         self.resync_net();
         if let Some(tl) = self.link_timelines.get_mut(link).and_then(Option::as_mut) {
             let d = tl.time_to_repair();
@@ -2291,7 +2230,7 @@ impl GridSim {
             }
         }
         let end = self.downtime_end().max(since);
-        self.link_downtime_s += (end - since).as_secs();
+        self.ledger.link_downtime_s += (end - since).as_secs();
         self.resync_net();
         if self.scheduler.unfinished() == 0 {
             return;
@@ -2411,10 +2350,10 @@ impl GridSim {
         // What did move stays on the books; whether it is kept (resume)
         // or re-sent (naive restart) is decided below.
         let delivered = (attempt_size - left).max(0.0);
-        self.per_site[site].bytes_transferred += delivered;
+        self.ledger.per_site[site].bytes_transferred += delivered;
         self.resync_net();
-        self.xfer_timeouts += 1;
-        self.xfer_timeout_count.incr();
+        self.ledger.xfer_timeouts += 1;
+        self.instruments.xfer_timeouts.incr();
         let t_s = now.as_secs();
         let full_size = self.config.workload.file_size_bytes;
         let guard = self.xfer.as_mut().expect("guarded");
@@ -2430,18 +2369,18 @@ impl GridSim {
         slot.timeout = None;
         slot.attempts += 1;
         if slot.attempts > guard.max_retries {
-            self.flows_requeued += 1;
+            self.ledger.flows_requeued += 1;
             self.requeue_after_exhausted_retries(site, w);
             return;
         }
-        self.flows_retrying += 1;
+        self.ledger.flows_retrying += 1;
         if guard.naive {
-            self.xfer_bytes_retransmitted += delivered;
+            self.ledger.xfer_bytes_retransmitted += delivered;
             slot.remaining = full_size;
         } else {
-            self.xfer_bytes_resumed += delivered;
+            self.ledger.xfer_bytes_resumed += delivered;
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            self.xfer_resumed_bytes.record(delivered as u64);
+            self.instruments.xfer_bytes_resumed.record(delivered as u64);
             slot.remaining = left;
         }
         slot.pending_file = Some(file);
@@ -2472,7 +2411,7 @@ impl GridSim {
             .take()
             .expect("exhausted retries imply an active batch");
         debug_assert_eq!(batch.worker, w);
-        self.per_site[site].transfer_time_s += (self.now() - batch.service_start).as_secs();
+        self.ledger.per_site[site].transfer_time_s += (self.now() - batch.service_start).as_secs();
         let current = self.workers[w]
             .current
             .take()
@@ -2487,7 +2426,7 @@ impl GridSim {
             self.stores[site].unpin(f);
         }
         if was_replica {
-            self.replicas_lost += 1;
+            self.ledger.replicas_lost += 1;
         }
         let worker_id = self.workers[w].id;
         self.workers[w].generation += 1;
@@ -2498,7 +2437,7 @@ impl GridSim {
         let orphaned = self.scheduler.on_worker_lost(worker_id, Some(task));
         self.scheduler.on_worker_recovered(worker_id);
         if orphaned {
-            self.tasks_lost += 1;
+            self.ledger.tasks_lost += 1;
             self.lost_ever[task.index()] = true;
             self.wake_parked();
         } else if self.throttled && was_replica {
@@ -2563,8 +2502,8 @@ impl GridSim {
         }
         let (links, latency_s) = match source {
             Some(src) => {
-                self.xfer_failovers += 1;
-                self.xfer_failover_count.incr();
+                self.ledger.xfer_failovers += 1;
+                self.instruments.xfer_failovers.incr();
                 self.union_route(src, site)
             }
             None => {
@@ -2573,7 +2512,7 @@ impl GridSim {
             }
         };
         let fid = self.net.start_flow(now, &links, remaining, latency_s);
-        self.flows_started += 1;
+        self.ledger.flows_started += 1;
         self.flow_purpose.insert(fid, FlowPurpose::Batch { site });
         self.servers[site]
             .active
@@ -2581,8 +2520,8 @@ impl GridSim {
             .expect("still active")
             .current = Some((file, fid));
         self.xfer.as_mut().expect("checked").slots[site].source = source;
-        self.xfer_retries += 1;
-        self.xfer_retry_count.incr();
+        self.ledger.xfer_retries += 1;
+        self.instruments.xfer_retries.incr();
         self.resync_net();
         self.arm_transfer_timeout(site, remaining, &links, latency_s);
     }
@@ -2632,12 +2571,12 @@ impl GridSim {
         let lost = torn.map(|(task, _)| task);
         let was_replica = torn.is_some_and(|(_, is_replica)| is_replica);
         if was_replica {
-            self.replicas_lost += 1;
+            self.ledger.replicas_lost += 1;
         }
         self.workers[w].generation += 1;
         self.workers[w].state = WorkerState::Down;
         self.workers[w].down_since = Some(self.now());
-        self.worker_crashes += 1;
+        self.ledger.worker_crashes += 1;
         self.telemetry
             .span_begin(Track::worker(w), "down", self.now().as_secs());
         // Feed the estimators: availability integral, failure
@@ -2650,15 +2589,15 @@ impl GridSim {
             .as_mut()
             .is_some_and(|plane| plane.on_worker_crash(site, t_s));
         if self.control.is_some() {
-            self.control_estimates.incr();
+            self.instruments.control_estimates.incr();
         }
         if tripped {
-            self.control_breaker_opens.incr();
+            self.instruments.control_breaker_opens.incr();
         }
         let orphaned = self.scheduler.on_worker_lost(worker_id, lost);
         if orphaned {
             let task = lost.expect("orphaned implies an in-flight task");
-            self.tasks_lost += 1;
+            self.ledger.tasks_lost += 1;
             self.lost_ever[task.index()] = true;
             // The requeued task may be picked up by parked workers.
             self.wake_parked();
@@ -2681,7 +2620,7 @@ impl GridSim {
         let site = self.workers[w].id.site.index();
         if let Some(since) = self.workers[w].down_since.take() {
             let end = self.downtime_end().max(since);
-            self.per_site[site].worker_downtime_s += (end - since).as_secs();
+            self.ledger.per_site[site].worker_downtime_s += (end - since).as_secs();
         }
         self.telemetry
             .span_end(Track::worker(w), "down", self.now().as_secs());
@@ -2689,7 +2628,7 @@ impl GridSim {
         let t_s = self.now().as_secs();
         if let Some(plane) = self.control.as_mut() {
             plane.on_worker_recover(site, t_s);
-            self.control_estimates.incr();
+            self.instruments.control_estimates.incr();
         }
         self.scheduler.on_worker_recovered(self.workers[w].id);
         if self.scheduler.unfinished() == 0 {
@@ -2711,7 +2650,7 @@ impl GridSim {
         }
         self.servers[site].down = true;
         self.servers[site].down_since = Some(self.now());
-        self.server_outages += 1;
+        self.ledger.server_outages += 1;
         self.telemetry
             .span_begin(Track::server(site), "outage", self.now().as_secs());
         // The active batch dissolves: its in-flight transfer is aborted
@@ -2729,15 +2668,16 @@ impl GridSim {
                         g.slots[site].remaining
                     });
                 if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                    self.flows_aborted += 1;
-                    self.cancelled_bytes += left;
+                    self.ledger.flows_aborted += 1;
+                    self.ledger.cancelled_bytes += left;
                     let delivered = attempt_size - left;
-                    self.per_site[site].bytes_transferred += delivered.max(0.0);
+                    self.ledger.per_site[site].bytes_transferred += delivered.max(0.0);
                 }
                 self.resync_net();
             }
             self.disarm_transfer_guard(site);
-            self.per_site[site].transfer_time_s += (self.now() - batch.service_start).as_secs();
+            self.ledger.per_site[site].transfer_time_s +=
+                (self.now() - batch.service_start).as_secs();
             let current = self.workers[w]
                 .current
                 .as_mut()
@@ -2775,8 +2715,8 @@ impl GridSim {
         for fid in inbound {
             self.flow_purpose.remove(&fid);
             if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                self.flows_aborted += 1;
-                self.cancelled_bytes += left;
+                self.ledger.flows_aborted += 1;
+                self.ledger.cancelled_bytes += left;
             }
         }
         self.resync_net();
@@ -2803,7 +2743,7 @@ impl GridSim {
         }
         // The outage loses every unpinned cached file.
         let lost = self.stores[site].fail();
-        self.per_site[site].files_lost += lost.len() as u64;
+        self.ledger.per_site[site].files_lost += lost.len() as u64;
         for f in lost {
             self.scheduler
                 .on_file_evicted(SiteId(site as u32), f, self.stores[site].ref_count(f));
@@ -2843,8 +2783,8 @@ impl GridSim {
         for &(fid, w) in writes.iter().chain(&restores) {
             self.flow_purpose.remove(&fid);
             if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                self.flows_aborted += 1;
-                self.cancelled_bytes += left;
+                self.ledger.flows_aborted += 1;
+                self.ledger.cancelled_bytes += left;
             }
             let current = self.workers[w].current.as_mut().expect("flow owner runs");
             current.ckpt_flow = None;
@@ -2876,7 +2816,7 @@ impl GridSim {
         self.servers[site].down = false;
         if let Some(since) = self.servers[site].down_since.take() {
             let end = self.downtime_end().max(since);
-            self.per_site[site].server_downtime_s += (end - since).as_secs();
+            self.ledger.per_site[site].server_downtime_s += (end - since).as_secs();
         }
         self.telemetry
             .span_end(Track::server(site), "outage", self.now().as_secs());
@@ -2903,109 +2843,60 @@ impl GridSim {
         }
     }
 
+    /// The ledger plus its derived fields: the makespan, per-site sums,
+    /// events, evictions, overflow, checkpoint-vault sums and the downtime
+    /// of windows still open at the end.
     fn report(&self) -> MetricsReport {
+        let mut r = self.ledger.clone();
         // Replica books must balance: every launched replica either won,
         // was cancelled by the winner, or died with its worker.
         debug_assert_eq!(
-            self.replicas_launched,
-            self.replicas_cancelled + self.replicas_completed + self.replicas_lost,
+            r.replicas_launched,
+            r.replicas_cancelled + r.replicas_completed + r.replicas_lost,
             "replica accounting out of balance"
         );
-        let file_transfers: u64 = self.per_site.iter().map(|s| s.file_transfers).sum();
-        let bytes: f64 = self.per_site.iter().map(|s| s.bytes_transferred).sum();
-        let total_evictions: u64 = self.per_site.iter().map(|s| s.evictions).sum();
-        let overflow: u64 = self.stores.iter().map(|s| s.stats().overflow_inserts).sum();
-        let files_lost: u64 = self.per_site.iter().map(|s| s.files_lost).sum();
-        // Entities still down at the end (scripted crash with no scripted
-        // recovery) never saw a recover event; account their downtime up
-        // to the makespan here.
-        let mut per_site = self.per_site.clone();
-        for w in &self.workers {
-            if let Some(since) = w.down_since {
-                let end = self.last_completion.max(since);
-                per_site[w.id.site.index()].worker_downtime_s += (end - since).as_secs();
-            }
-        }
-        for (site, server) in self.servers.iter().enumerate() {
-            if let Some(since) = server.down_since {
-                let end = self.last_completion.max(since);
-                per_site[site].server_downtime_s += (end - since).as_secs();
-            }
-        }
-        let (ckpt_written, ckpt_lost, restores, overhead_s, saved_s) = self
-            .checkpointing
-            .as_ref()
-            .map_or((0, 0, 0, 0.0, 0.0), |c| {
-                (
-                    c.vaults.iter().map(ImageVault::written).sum(),
-                    c.vaults.iter().map(ImageVault::lost).sum(),
-                    c.restores,
-                    c.overhead_s,
-                    c.work_saved_s,
-                )
-            });
-        // Links still impaired at the end (scripted outage with no
-        // scripted recovery) never saw a recover event either.
-        let mut link_downtime_s = self.link_downtime_s;
-        for (_, since) in self.link_window.iter().flatten() {
-            let end = self.last_completion.max(*since);
-            link_downtime_s += (end - *since).as_secs();
-        }
         // Flow conservation: every flow ever started either completed,
         // was aborted by a teardown, was cancelled into a retry/requeue
         // by the transfer guard, or is still stalled in the drained net
         // (a severed route with nothing left to wake it).
         debug_assert_eq!(
-            self.flows_started,
-            self.flows_completed
-                + self.flows_aborted
-                + self.flows_retrying
-                + self.flows_requeued
+            r.flows_started,
+            r.flows_completed
+                + r.flows_aborted
+                + r.flows_retrying
+                + r.flows_requeued
                 + self.net.active_flows() as u64,
             "flow conservation out of balance"
         );
-        MetricsReport {
-            config: self.config.summary(),
-            makespan_minutes: self.last_completion.as_minutes(),
-            file_transfers,
-            bytes_transferred: bytes,
-            cancelled_bytes: self.cancelled_bytes,
-            tasks_completed: self.tasks_completed,
-            replicas_launched: self.replicas_launched,
-            replicas_cancelled: self.replicas_cancelled,
-            replicas_completed: self.replicas_completed,
-            primaries_cancelled: self.primaries_cancelled,
-            replicas_lost: self.replicas_lost,
-            per_site,
-            replication_pushes: self.replication_pushes,
-            replication_bytes: self.replication_bytes,
-            events_dispatched: self.schedule.dispatched(),
-            total_evictions,
-            overflow_inserts: overflow,
-            tasks_lost: self.tasks_lost,
-            re_executions: self.re_executions,
-            worker_crashes: self.worker_crashes,
-            server_outages: self.server_outages,
-            files_lost,
-            wasted_compute_s: self.wasted_compute_s,
-            checkpoints_written: ckpt_written,
-            checkpoints_lost: ckpt_lost,
-            checkpoint_restores: restores,
-            checkpoint_overhead_s: overhead_s,
-            work_saved_s: saved_s,
-            link_outages: self.link_outages,
-            link_downtime_s,
-            xfer_timeouts: self.xfer_timeouts,
-            xfer_retries: self.xfer_retries,
-            xfer_failovers: self.xfer_failovers,
-            xfer_bytes_resumed: self.xfer_bytes_resumed,
-            xfer_bytes_retransmitted: self.xfer_bytes_retransmitted,
-            flows_started: self.flows_started,
-            flows_completed: self.flows_completed,
-            flows_aborted: self.flows_aborted,
-            flows_retrying: self.flows_retrying,
-            flows_requeued: self.flows_requeued,
+        r.makespan_minutes = self.last_completion.as_minutes();
+        r.file_transfers = r.per_site.iter().map(|s| s.file_transfers).sum();
+        r.bytes_transferred = r.per_site.iter().map(|s| s.bytes_transferred).sum();
+        r.total_evictions = r.per_site.iter().map(|s| s.evictions).sum();
+        r.files_lost = r.per_site.iter().map(|s| s.files_lost).sum();
+        r.overflow_inserts = self.stores.iter().map(|s| s.stats().overflow_inserts).sum();
+        r.events_dispatched = self.schedule.dispatched();
+        if let Some(c) = &self.checkpointing {
+            r.checkpoints_written = c.vaults.iter().map(ImageVault::written).sum();
+            r.checkpoints_lost = c.vaults.iter().map(ImageVault::lost).sum();
         }
+        // Entities still down at the end (scripted crash or outage with no
+        // scripted recovery) never saw a recover event; account their
+        // downtime up to the makespan here.
+        let open_for = |since: SimTime| (self.last_completion.max(since) - since).as_secs();
+        for w in &self.workers {
+            if let Some(since) = w.down_since {
+                r.per_site[w.id.site.index()].worker_downtime_s += open_for(since);
+            }
+        }
+        for (site, server) in self.servers.iter().enumerate() {
+            if let Some(since) = server.down_since {
+                r.per_site[site].server_downtime_s += open_for(since);
+            }
+        }
+        for (_, since) in self.link_window.iter().flatten() {
+            r.link_downtime_s += open_for(*since);
+        }
+        r
     }
 }
 
@@ -3070,9 +2961,6 @@ fn build_ckpt_state(c: &CheckpointConfig, config: &SimConfig, topology: &Topolog
         access_link,
         vaults: vec![ImageVault::new(); config.sites],
         tracker: ImageTracker::new(),
-        restores: 0,
-        overhead_s: 0.0,
-        work_saved_s: 0.0,
         write_cost_s: write_costs,
         adaptive: c.policy == CheckpointPolicy::YoungDalyAdaptive,
     }
@@ -3230,7 +3118,7 @@ mod tests {
         }
         let before = probe(&sim.replication_rng);
         sim.maybe_replicate(&[f], 0);
-        assert_eq!(sim.replication_pushes, 0, "nowhere to push");
+        assert_eq!(sim.ledger.replication_pushes, 0, "nowhere to push");
         assert_eq!(
             probe(&sim.replication_rng),
             before,
@@ -3238,14 +3126,17 @@ mod tests {
         );
         // Exhaustion holds while coverage holds: no re-scan, no draw.
         sim.maybe_replicate(&[f], 0);
-        assert_eq!(sim.replication_pushes, 0, "exhausted file stays inert");
+        assert_eq!(
+            sim.ledger.replication_pushes, 0,
+            "exhausted file stays inert"
+        );
         // All-servers-down window: skipped draw, but the file stays
         // eligible and pushes as soon as a server is back.
         let g = FileId(1);
         sim.servers[1].down = true;
         sim.servers[2].down = true;
         sim.maybe_replicate(&[g], 0);
-        assert_eq!(sim.replication_pushes, 0, "outage blocks the push");
+        assert_eq!(sim.ledger.replication_pushes, 0, "outage blocks the push");
         assert_eq!(
             probe(&sim.replication_rng),
             before,
@@ -3254,7 +3145,10 @@ mod tests {
         sim.servers[1].down = false;
         sim.servers[2].down = false;
         sim.maybe_replicate(&[g], 0);
-        assert_eq!(sim.replication_pushes, 1, "outage only defers the push");
+        assert_eq!(
+            sim.ledger.replication_pushes, 1,
+            "outage only defers the push"
+        );
         assert_ne!(
             probe(&sim.replication_rng),
             before,
@@ -3269,7 +3163,10 @@ mod tests {
             sim.replication.as_mut().expect("enabled").on_copy_lost(e);
         }
         sim.maybe_replicate(&[f], 0);
-        assert_eq!(sim.replication_pushes, 2, "broken coverage re-arms f");
+        assert_eq!(
+            sim.ledger.replication_pushes, 2,
+            "broken coverage re-arms f"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::GridSim;
-use crate::metrics::{MetricsReport, SiteMetrics};
+use crate::metrics::{Mean, MetricsReport};
 
 /// One (x, report) pair of a sweep, e.g. (capacity = 3000, averaged
 /// metrics).
@@ -21,27 +21,15 @@ pub struct ExperimentPoint {
     pub report: MetricsReport,
 }
 
-/// Per-replicate extrema of the key scalar metrics — the spread around the
-/// mean that [`run_averaged`] alone would discard. A mean makespan is only
-/// as trustworthy as the band the replicates actually span.
+/// The replicate spread of the makespan — the band around the mean that
+/// [`run_averaged`] alone would discard. A mean makespan is only as
+/// trustworthy as the band the replicates actually span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportSpread {
-    /// How many replicates the extrema cover.
+    /// How many replicates the spread covers.
     pub replicates: usize,
     /// (min, max) makespan in minutes.
     pub makespan_minutes: (f64, f64),
-    /// (min, max) file-transfer count.
-    pub file_transfers: (u64, u64),
-    /// (min, max) bytes on the wire.
-    pub bytes_transferred: (f64, f64),
-    /// (min, max) events dispatched.
-    pub events_dispatched: (u64, u64),
-    /// (min, max) replicas launched.
-    pub replicas_launched: (u64, u64),
-    /// (min, max) tasks fault-orphaned.
-    pub tasks_lost: (u64, u64),
-    /// (min, max) wasted compute-seconds.
-    pub wasted_compute_s: (f64, f64),
 }
 
 /// Runs `base` once per topology seed (in parallel) and averages.
@@ -58,7 +46,7 @@ pub fn run_averaged(base: &SimConfig, topology_seeds: &[u64]) -> MetricsReport {
     average_reports(&run_replicates(base, topology_seeds))
 }
 
-/// Like [`run_averaged`], but also returns the per-replicate extrema.
+/// Like [`run_averaged`], but also returns the makespan spread.
 ///
 /// # Panics
 ///
@@ -99,17 +87,7 @@ fn run_replicates(base: &SimConfig, topology_seeds: &[u64]) -> Vec<MetricsReport
     })
 }
 
-fn minmax_u64(mut values: impl Iterator<Item = u64>) -> (u64, u64) {
-    let first = values.next().expect("at least one report");
-    values.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v)))
-}
-
-fn minmax_f64(mut values: impl Iterator<Item = f64>) -> (f64, f64) {
-    let first = values.next().expect("at least one report");
-    values.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v)))
-}
-
-/// Element-wise (min, max) extrema over several reports.
+/// The makespan (min, max) over several reports.
 ///
 /// # Panics
 ///
@@ -120,28 +98,19 @@ pub fn report_spread(reports: &[MetricsReport]) -> ReportSpread {
         !reports.is_empty(),
         "cannot take the spread of zero reports"
     );
+    let first = reports[0].makespan_minutes;
     ReportSpread {
         replicates: reports.len(),
-        makespan_minutes: minmax_f64(reports.iter().map(|r| r.makespan_minutes)),
-        file_transfers: minmax_u64(reports.iter().map(|r| r.file_transfers)),
-        bytes_transferred: minmax_f64(reports.iter().map(|r| r.bytes_transferred)),
-        events_dispatched: minmax_u64(reports.iter().map(|r| r.events_dispatched)),
-        replicas_launched: minmax_u64(reports.iter().map(|r| r.replicas_launched)),
-        tasks_lost: minmax_u64(reports.iter().map(|r| r.tasks_lost)),
-        wasted_compute_s: minmax_f64(reports.iter().map(|r| r.wasted_compute_s)),
+        makespan_minutes: reports
+            .iter()
+            .map(|r| r.makespan_minutes)
+            .fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))),
     }
 }
 
-fn avg_u64(values: impl Iterator<Item = u64>, n: usize) -> u64 {
-    let sum: u64 = values.sum();
-    ((sum as f64) / n as f64).round() as u64
-}
-
-fn avg_f64(values: impl Iterator<Item = f64>, n: usize) -> f64 {
-    values.sum::<f64>() / n as f64
-}
-
-/// Element-wise average of several reports (config taken from the first).
+/// Field-by-field average of several reports, by the rules declared in
+/// [`crate::metrics`]: rounded mean for counters, sequential-sum mean for
+/// quantities, element-wise per site, config from the first report.
 ///
 /// # Panics
 ///
@@ -150,67 +119,7 @@ fn avg_f64(values: impl Iterator<Item = f64>, n: usize) -> f64 {
 #[must_use]
 pub fn average_reports(reports: &[MetricsReport]) -> MetricsReport {
     assert!(!reports.is_empty(), "cannot average zero reports");
-    let n = reports.len();
-    let sites = reports[0].per_site.len();
-    for r in reports {
-        assert_eq!(r.per_site.len(), sites, "mismatched site counts");
-    }
-    let per_site: Vec<SiteMetrics> = (0..sites)
-        .map(|s| SiteMetrics {
-            requests: avg_u64(reports.iter().map(|r| r.per_site[s].requests), n),
-            waiting_time_s: avg_f64(reports.iter().map(|r| r.per_site[s].waiting_time_s), n),
-            transfer_time_s: avg_f64(reports.iter().map(|r| r.per_site[s].transfer_time_s), n),
-            file_transfers: avg_u64(reports.iter().map(|r| r.per_site[s].file_transfers), n),
-            bytes_transferred: avg_f64(reports.iter().map(|r| r.per_site[s].bytes_transferred), n),
-            tasks_started: avg_u64(reports.iter().map(|r| r.per_site[s].tasks_started), n),
-            evictions: avg_u64(reports.iter().map(|r| r.per_site[s].evictions), n),
-            worker_downtime_s: avg_f64(reports.iter().map(|r| r.per_site[s].worker_downtime_s), n),
-            server_downtime_s: avg_f64(reports.iter().map(|r| r.per_site[s].server_downtime_s), n),
-            files_lost: avg_u64(reports.iter().map(|r| r.per_site[s].files_lost), n),
-        })
-        .collect();
-    MetricsReport {
-        config: reports[0].config.clone(),
-        makespan_minutes: avg_f64(reports.iter().map(|r| r.makespan_minutes), n),
-        file_transfers: avg_u64(reports.iter().map(|r| r.file_transfers), n),
-        bytes_transferred: avg_f64(reports.iter().map(|r| r.bytes_transferred), n),
-        cancelled_bytes: avg_f64(reports.iter().map(|r| r.cancelled_bytes), n),
-        tasks_completed: avg_u64(reports.iter().map(|r| r.tasks_completed), n),
-        replicas_launched: avg_u64(reports.iter().map(|r| r.replicas_launched), n),
-        replicas_cancelled: avg_u64(reports.iter().map(|r| r.replicas_cancelled), n),
-        replicas_completed: avg_u64(reports.iter().map(|r| r.replicas_completed), n),
-        primaries_cancelled: avg_u64(reports.iter().map(|r| r.primaries_cancelled), n),
-        replicas_lost: avg_u64(reports.iter().map(|r| r.replicas_lost), n),
-        per_site,
-        replication_pushes: avg_u64(reports.iter().map(|r| r.replication_pushes), n),
-        replication_bytes: avg_f64(reports.iter().map(|r| r.replication_bytes), n),
-        events_dispatched: avg_u64(reports.iter().map(|r| r.events_dispatched), n),
-        total_evictions: avg_u64(reports.iter().map(|r| r.total_evictions), n),
-        overflow_inserts: avg_u64(reports.iter().map(|r| r.overflow_inserts), n),
-        tasks_lost: avg_u64(reports.iter().map(|r| r.tasks_lost), n),
-        re_executions: avg_u64(reports.iter().map(|r| r.re_executions), n),
-        worker_crashes: avg_u64(reports.iter().map(|r| r.worker_crashes), n),
-        server_outages: avg_u64(reports.iter().map(|r| r.server_outages), n),
-        files_lost: avg_u64(reports.iter().map(|r| r.files_lost), n),
-        wasted_compute_s: avg_f64(reports.iter().map(|r| r.wasted_compute_s), n),
-        checkpoints_written: avg_u64(reports.iter().map(|r| r.checkpoints_written), n),
-        checkpoints_lost: avg_u64(reports.iter().map(|r| r.checkpoints_lost), n),
-        checkpoint_restores: avg_u64(reports.iter().map(|r| r.checkpoint_restores), n),
-        checkpoint_overhead_s: avg_f64(reports.iter().map(|r| r.checkpoint_overhead_s), n),
-        work_saved_s: avg_f64(reports.iter().map(|r| r.work_saved_s), n),
-        link_outages: avg_u64(reports.iter().map(|r| r.link_outages), n),
-        link_downtime_s: avg_f64(reports.iter().map(|r| r.link_downtime_s), n),
-        xfer_timeouts: avg_u64(reports.iter().map(|r| r.xfer_timeouts), n),
-        xfer_retries: avg_u64(reports.iter().map(|r| r.xfer_retries), n),
-        xfer_failovers: avg_u64(reports.iter().map(|r| r.xfer_failovers), n),
-        xfer_bytes_resumed: avg_f64(reports.iter().map(|r| r.xfer_bytes_resumed), n),
-        xfer_bytes_retransmitted: avg_f64(reports.iter().map(|r| r.xfer_bytes_retransmitted), n),
-        flows_started: avg_u64(reports.iter().map(|r| r.flows_started), n),
-        flows_completed: avg_u64(reports.iter().map(|r| r.flows_completed), n),
-        flows_aborted: avg_u64(reports.iter().map(|r| r.flows_aborted), n),
-        flows_retrying: avg_u64(reports.iter().map(|r| r.flows_retrying), n),
-        flows_requeued: avg_u64(reports.iter().map(|r| r.flows_requeued), n),
-    }
+    Mean::mean(&reports.iter().collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -264,9 +173,6 @@ mod tests {
         let (lo, hi) = spread.makespan_minutes;
         assert!(lo <= avg.makespan_minutes && avg.makespan_minutes <= hi);
         assert!(lo > 0.0);
-        let (flo, fhi) = spread.file_transfers;
-        assert!(flo <= avg.file_transfers || avg.file_transfers <= fhi);
-        assert!(flo <= fhi);
         // Distinct topologies should actually disagree somewhere.
         assert!(
             spread.makespan_minutes.0 < spread.makespan_minutes.1,

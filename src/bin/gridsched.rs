@@ -116,7 +116,7 @@ usage:
                      [--replication-threshold N] [--trace FILE] [--csv]
                      [--replica-cap N] [--site-replica-budget N] (storage-affinity
                        replica throttle; default unbounded)
-                     [--eval-mode incremental|indexed|naive] (scheduler internals;
+                     [--eval-mode incremental|naive] (scheduler internals;
                        identical output, different per-decision cost)
                      [--mtbf SECS] [--mttr SECS] (worker churn, default MTTR 600)
                      [--mttr-shape K] (Weibull repair shape; 1 = exponential)
@@ -197,6 +197,26 @@ impl Opts {
         }
     }
 
+    /// A float flag that must be positive and finite (`None` when
+    /// absent); `unit` names what the value measures in the error.
+    fn positive(&self, key: &str, unit: &str) -> Result<Option<f64>, String> {
+        match self.get_opt::<f64>(key)? {
+            Some(v) if !(v > 0.0 && v.is_finite()) => {
+                Err(format!("--{key} must be positive {unit} (got {v})"))
+            }
+            v => Ok(v),
+        }
+    }
+
+    /// A size flag in MB, checked like [`Opts::positive`] and also in
+    /// bytes (`1e303` MB overflows to an infinite byte count).
+    fn megabytes(&self, key: &str) -> Result<Option<f64>, String> {
+        match self.positive(key, "MB")? {
+            Some(mb) if !(mb * 1e6).is_finite() => Err(format!("--{key} is too large ({mb:e} MB)")),
+            v => Ok(v),
+        }
+    }
+
     fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
@@ -249,10 +269,7 @@ fn load_or_generate_workload(opts: &Opts) -> Result<Arc<Workload>, String> {
     let mut cfg = CoaddConfig::paper_6000();
     cfg.tasks = opts.get("tasks", 6000u32)?;
     cfg.seed = opts.get("workload-seed", 0u64)?;
-    let fsmb: f64 = opts.get("file-size-mb", 25.0)?;
-    if fsmb <= 0.0 {
-        return Err("--file-size-mb must be positive".into());
-    }
+    let fsmb = opts.megabytes("file-size-mb")?.unwrap_or(25.0);
     Ok(Arc::new(cfg.with_file_size_mb(fsmb).generate()))
 }
 
@@ -274,22 +291,13 @@ fn build_fault_config(opts: &Opts) -> Result<FaultConfig, String> {
         }
     }
     let mut faults = FaultConfig::none();
-    if let Some(mtbf) = opts.get_opt::<f64>("mtbf")? {
-        let mttr: f64 = opts.get("mttr", 600.0)?;
-        if mtbf <= 0.0 || mttr <= 0.0 {
-            return Err("--mtbf/--mttr must be positive seconds".into());
-        }
+    if let Some(mtbf) = opts.positive("mtbf", "seconds")? {
+        let mttr = opts.positive("mttr", "seconds")?.unwrap_or(600.0);
         faults = faults.with_worker_faults(mtbf, mttr);
-        if let Some(shape) = opts.get_opt::<f64>("mttr-shape")? {
-            if shape <= 0.0 {
-                return Err("--mttr-shape must be a positive Weibull shape".into());
-            }
+        if let Some(shape) = opts.positive("mttr-shape", "Weibull shape")? {
             faults = faults.with_worker_repair_shape(shape);
         }
-        if let Some(rate) = opts.get_opt::<f64>("fault-burst-rate")? {
-            if rate <= 0.0 || !rate.is_finite() {
-                return Err("--fault-burst-rate must be positive seconds".into());
-            }
+        if let Some(rate) = opts.positive("fault-burst-rate", "seconds")? {
             let size: u32 = opts.get("fault-burst-size", 4u32)?;
             if size == 0 {
                 return Err("--fault-burst-size must be >= 1".into());
@@ -297,24 +305,15 @@ fn build_fault_config(opts: &Opts) -> Result<FaultConfig, String> {
             faults = faults.with_worker_bursts(rate, size);
         }
     }
-    if let Some(mtbf) = opts.get_opt::<f64>("server-mtbf")? {
-        let mttr: f64 = opts.get("server-mttr", 900.0)?;
-        if mtbf <= 0.0 || mttr <= 0.0 {
-            return Err("--server-mtbf/--server-mttr must be positive seconds".into());
-        }
+    if let Some(mtbf) = opts.positive("server-mtbf", "seconds")? {
+        let mttr = opts.positive("server-mttr", "seconds")?.unwrap_or(900.0);
         faults = faults.with_server_faults(mtbf, mttr);
-        if let Some(shape) = opts.get_opt::<f64>("server-mttr-shape")? {
-            if shape <= 0.0 {
-                return Err("--server-mttr-shape must be a positive Weibull shape".into());
-            }
+        if let Some(shape) = opts.positive("server-mttr-shape", "Weibull shape")? {
             faults = faults.with_server_repair_shape(shape);
         }
     }
-    if let Some(mtbf) = opts.get_opt::<f64>("link-mtbf")? {
-        let mttr: f64 = opts.get("link-mttr", 900.0)?;
-        if mtbf <= 0.0 || mttr <= 0.0 {
-            return Err("--link-mtbf/--link-mttr must be positive seconds".into());
-        }
+    if let Some(mtbf) = opts.positive("link-mtbf", "seconds")? {
+        let mttr = opts.positive("link-mttr", "seconds")?.unwrap_or(900.0);
         faults = faults.with_link_faults(mtbf, mttr);
         if let Some(factor) = opts.get_opt::<f64>("link-degrade-factor")? {
             if factor <= 0.0 || factor >= 1.0 || !factor.is_finite() {
@@ -342,12 +341,9 @@ fn build_checkpoint_config(opts: &Opts, faults: &FaultConfig) -> Result<Checkpoi
     }
     let mut ckpt = match policy.expect("checked above") {
         "fixed" => {
-            let interval: f64 = opts
-                .get_opt("checkpoint-interval")?
+            let interval = opts
+                .positive("checkpoint-interval", "seconds")?
                 .ok_or("--checkpoint-policy fixed requires --checkpoint-interval")?;
-            if interval <= 0.0 {
-                return Err("--checkpoint-interval must be positive seconds".into());
-            }
             CheckpointConfig::fixed(interval)
         }
         "young-daly" | "youngdaly" | "yd" => {
@@ -379,10 +375,7 @@ fn build_checkpoint_config(opts: &Opts, faults: &FaultConfig) -> Result<Checkpoi
             ))
         }
     };
-    if let Some(mb) = opts.get_opt::<f64>("checkpoint-size")? {
-        if mb <= 0.0 {
-            return Err("--checkpoint-size must be positive MB".into());
-        }
+    if let Some(mb) = opts.megabytes("checkpoint-size")? {
         ckpt = ckpt.with_size_bytes(mb * 1e6);
     }
     Ok(ckpt)
@@ -433,16 +426,13 @@ fn build_control_config(
                 .into(),
         );
     }
-    if let Some(tick) = opts.get_opt::<f64>("control-tick")? {
+    if let Some(tick) = opts.positive("control-tick", "sim seconds")? {
         if control.is_inert() {
             return Err(
                 "--control-tick requires --adaptive (or --checkpoint-policy \
                  young-daly-adaptive)"
                     .into(),
             );
-        }
-        if tick <= 0.0 || !tick.is_finite() {
-            return Err("--control-tick must be positive sim seconds".into());
         }
         control = control.with_tick_s(tick);
     }
@@ -505,17 +495,11 @@ fn cmd_simulate(opts: &Opts) -> Result<(), String> {
         if let Some(retries) = opts.get_opt::<u32>("transfer-retries")? {
             config = config.with_transfer_retries(retries);
         }
-        if let Some(backoff) = opts.get_opt::<f64>("retry-backoff")? {
-            if backoff <= 0.0 || !backoff.is_finite() {
-                return Err("--retry-backoff must be positive seconds".into());
-            }
+        if let Some(backoff) = opts.positive("retry-backoff", "seconds")? {
             config = config.with_retry_backoff(backoff);
         }
     }
-    if let Some(interval) = opts.get_opt::<f64>("probe-interval")? {
-        if interval <= 0.0 || !interval.is_finite() {
-            return Err("--probe-interval must be positive seconds".into());
-        }
+    if let Some(interval) = opts.positive("probe-interval", "seconds")? {
         config = config.with_probe_interval(interval);
     }
     for flag in ["trace-out", "metrics-out", "digest-out"] {
@@ -532,12 +516,9 @@ fn cmd_simulate(opts: &Opts) -> Result<(), String> {
     if let Some(path) = opts.values.get("digest-out") {
         config = config.with_digest_out(path.clone());
     }
-    if let Some(window) = opts.get_opt::<f64>("digest-window")? {
+    if let Some(window) = opts.positive("digest-window", "sim seconds")? {
         if !opts.values.contains_key("digest-out") {
             return Err("--digest-window requires --digest-out".into());
-        }
-        if window <= 0.0 || !window.is_finite() {
-            return Err("--digest-window must be positive sim seconds".into());
         }
         config = config.with_digest_window(window);
     }
@@ -847,7 +828,7 @@ fn cmd_workload(opts: &Opts) -> Result<(), String> {
     let mut cfg = CoaddConfig::paper_6000();
     cfg.tasks = opts.get("tasks", 6000u32)?;
     cfg.seed = opts.get("seed", 0u64)?;
-    let fsmb: f64 = opts.get("file-size-mb", 25.0)?;
+    let fsmb = opts.megabytes("file-size-mb")?.unwrap_or(25.0);
     let wl = cfg.with_file_size_mb(fsmb).generate();
     let s = wl.stats();
     println!("tasks              : {}", s.tasks);

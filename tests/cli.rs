@@ -892,6 +892,72 @@ fn simulate_rejects_bad_network_flags() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// Non-finite and non-positive float flags end with a typed error (exit
+/// 1), never a builder panic (exit 101) or a silently accepted run.
+#[test]
+fn simulate_rejects_non_finite_floats() {
+    let cases: &[(&str, &[&str])] = &[
+        ("--mtbf", &["--mtbf", "inf"]),
+        ("--mtbf", &["--mtbf", "nan"]),
+        ("--mttr", &["--mtbf", "3600", "--mttr", "inf"]),
+        ("--mttr-shape", &["--mtbf", "3600", "--mttr-shape", "inf"]),
+        ("--link-mtbf", &["--link-mtbf", "inf"]),
+        (
+            "--checkpoint-interval",
+            &[
+                "--checkpoint-policy",
+                "fixed",
+                "--checkpoint-interval",
+                "inf",
+            ],
+        ),
+        (
+            "--checkpoint-size",
+            &[
+                "--checkpoint-policy",
+                "fixed",
+                "--checkpoint-interval",
+                "600",
+                "--checkpoint-size",
+                "inf",
+            ],
+        ),
+        (
+            "--checkpoint-size",
+            &[
+                "--checkpoint-policy",
+                "fixed",
+                "--checkpoint-interval",
+                "600",
+                "--checkpoint-size",
+                "1e303",
+            ],
+        ),
+        ("--file-size-mb", &["--file-size-mb", "inf"]),
+        ("--file-size-mb", &["--file-size-mb", "1e303"]),
+    ];
+    for (flag, extra) in cases {
+        let mut args = vec!["simulate", "--tasks", "60", "--sites", "2"];
+        args.extend_from_slice(extra);
+        let out = gridsched(&args);
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {flag} ")),
+            "{args:?}: stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn simulate_rejects_unknown_eval_mode() {
+    let out = gridsched(&["simulate", "--tasks", "60", "--eval-mode", "indexed"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert!(stderr.contains("(incremental|naive)"), "stderr: {stderr}");
+}
+
 #[test]
 fn simulate_rejects_bad_strategy() {
     let out = gridsched(&["simulate", "--strategy", "magic"]);
