@@ -163,6 +163,14 @@ usage:
   gridsched topology [--seed N] [--sites N] [--dot FILE]
   gridsched strategies";
 
+/// The largest magnitude any float flag accepts. Time flags end up as
+/// event timestamps (`now` plus an exponential draw that reaches ~37× its
+/// mean, or a timeout multiple × the expected transfer time), and sizes
+/// are scaled to bytes, so a huge finite value overflows to infinity
+/// inside the run. 1e12 (about 31,700 years of sim time, or 1e12 MB) is
+/// far beyond any meaningful run and far below that overflow.
+const FLAG_MAX: f64 = 1e12;
+
 /// `--flag value` pairs, boolean flags (`--csv`) and positional operands
 /// (`diff-digests a.jsonl b.jsonl`).
 struct Opts {
@@ -197,22 +205,22 @@ impl Opts {
         }
     }
 
-    /// A float flag that must be positive and finite (`None` when
-    /// absent); `unit` names what the value measures in the error.
-    fn positive(&self, key: &str, unit: &str) -> Result<Option<f64>, String> {
+    /// A float flag (`None` when absent). Every float flag passes through
+    /// here, so each is finite and at most [`FLAG_MAX`] in magnitude.
+    fn float(&self, key: &str) -> Result<Option<f64>, String> {
         match self.get_opt::<f64>(key)? {
-            Some(v) if !(v > 0.0 && v.is_finite()) => {
-                Err(format!("--{key} must be positive {unit} (got {v})"))
-            }
+            Some(v) if !v.is_finite() || v.abs() > FLAG_MAX => Err(format!(
+                "--{key} must be finite and at most {FLAG_MAX:e} (got {v})"
+            )),
             v => Ok(v),
         }
     }
 
-    /// A size flag in MB, checked like [`Opts::positive`] and also in
-    /// bytes (`1e303` MB overflows to an infinite byte count).
-    fn megabytes(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.positive(key, "MB")? {
-            Some(mb) if !(mb * 1e6).is_finite() => Err(format!("--{key} is too large ({mb:e} MB)")),
+    /// A float flag that must also be positive; `unit` names what the
+    /// value measures in the error.
+    fn positive(&self, key: &str, unit: &str) -> Result<Option<f64>, String> {
+        match self.float(key)? {
+            Some(v) if v <= 0.0 => Err(format!("--{key} must be positive {unit} (got {v})")),
             v => Ok(v),
         }
     }
@@ -269,7 +277,7 @@ fn load_or_generate_workload(opts: &Opts) -> Result<Arc<Workload>, String> {
     let mut cfg = CoaddConfig::paper_6000();
     cfg.tasks = opts.get("tasks", 6000u32)?;
     cfg.seed = opts.get("workload-seed", 0u64)?;
-    let fsmb = opts.megabytes("file-size-mb")?.unwrap_or(25.0);
+    let fsmb = opts.positive("file-size-mb", "MB")?.unwrap_or(25.0);
     Ok(Arc::new(cfg.with_file_size_mb(fsmb).generate()))
 }
 
@@ -315,8 +323,8 @@ fn build_fault_config(opts: &Opts) -> Result<FaultConfig, String> {
     if let Some(mtbf) = opts.positive("link-mtbf", "seconds")? {
         let mttr = opts.positive("link-mttr", "seconds")?.unwrap_or(900.0);
         faults = faults.with_link_faults(mtbf, mttr);
-        if let Some(factor) = opts.get_opt::<f64>("link-degrade-factor")? {
-            if factor <= 0.0 || factor >= 1.0 || !factor.is_finite() {
+        if let Some(factor) = opts.float("link-degrade-factor")? {
+            if factor <= 0.0 || factor >= 1.0 {
                 return Err("--link-degrade-factor must be in (0, 1)".into());
             }
             faults = faults.with_link_degrade_factor(factor);
@@ -375,7 +383,7 @@ fn build_checkpoint_config(opts: &Opts, faults: &FaultConfig) -> Result<Checkpoi
             ))
         }
     };
-    if let Some(mb) = opts.megabytes("checkpoint-size")? {
+    if let Some(mb) = opts.positive("checkpoint-size", "MB")? {
         ckpt = ckpt.with_size_bytes(mb * 1e6);
     }
     Ok(ckpt)
@@ -487,8 +495,8 @@ fn cmd_simulate(opts: &Opts) -> Result<(), String> {
             return Err(format!("--{dependent} requires --{required}"));
         }
     }
-    if let Some(mult) = opts.get_opt::<f64>("transfer-timeout")? {
-        if mult <= 1.0 || !mult.is_finite() {
+    if let Some(mult) = opts.float("transfer-timeout")? {
+        if mult <= 1.0 {
             return Err("--transfer-timeout must be a multiple > 1".into());
         }
         config = config.with_transfer_timeout(mult);
@@ -522,11 +530,11 @@ fn cmd_simulate(opts: &Opts) -> Result<(), String> {
         }
         config = config.with_digest_window(window);
     }
-    if let Some(linger) = opts.get_opt::<f64>("serve-linger")? {
+    if let Some(linger) = opts.float("serve-linger")? {
         if !opts.values.contains_key("serve-metrics") {
             return Err("--serve-linger requires --serve-metrics".into());
         }
-        if linger < 0.0 || !linger.is_finite() {
+        if linger < 0.0 {
             return Err("--serve-linger must be non-negative seconds".into());
         }
         config = config.with_serve_linger(linger);
@@ -828,7 +836,7 @@ fn cmd_workload(opts: &Opts) -> Result<(), String> {
     let mut cfg = CoaddConfig::paper_6000();
     cfg.tasks = opts.get("tasks", 6000u32)?;
     cfg.seed = opts.get("seed", 0u64)?;
-    let fsmb = opts.megabytes("file-size-mb")?.unwrap_or(25.0);
+    let fsmb = opts.positive("file-size-mb", "MB")?.unwrap_or(25.0);
     let wl = cfg.with_file_size_mb(fsmb).generate();
     let s = wl.stats();
     println!("tasks              : {}", s.tasks);

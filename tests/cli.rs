@@ -796,6 +796,43 @@ fn simulate_with_scripted_partition_heals_and_completes() {
     );
 }
 
+/// Long repairs push flows to late sim times, where one ulp of the clock
+/// times a fast flow's rate leaves more than a millibyte undrained at its
+/// completion instant; the network must still accept the finish.
+#[test]
+fn simulate_finishes_fast_flows_late_in_a_run() {
+    let dir = TestDir::new("late-flows");
+    let trace = dir.path("wl.trace");
+    let trace_str = trace.to_str().expect("utf8 path");
+    let out = gridsched(&["workload", "--tasks", "150", "--out", trace_str]);
+    assert!(out.status.success());
+    for faults in [
+        ["--link-mtbf", "4000", "--link-mttr", "1e5"],
+        ["--mtbf", "3600", "--mttr", "1e6"],
+    ] {
+        let mut args = vec![
+            "simulate",
+            "--trace",
+            trace_str,
+            "--sites",
+            "2",
+            "--topology-seeds",
+            "0",
+            "--strategy",
+            "rest.2",
+            "--csv",
+        ];
+        args.extend(faults);
+        let out = gridsched(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
 #[test]
 fn simulate_rejects_bad_network_flags() {
     // Dependent flags without the flag that gives them meaning.
@@ -935,6 +972,18 @@ fn simulate_rejects_non_finite_floats() {
         ),
         ("--file-size-mb", &["--file-size-mb", "inf"]),
         ("--file-size-mb", &["--file-size-mb", "1e303"]),
+        // Huge finite time flags would overflow the event clock.
+        ("--mtbf", &["--mtbf", "1e308"]),
+        ("--mttr", &["--mtbf", "3600", "--mttr", "1e308"]),
+        ("--link-mtbf", &["--link-mtbf", "1e308"]),
+        (
+            "--link-mttr",
+            &["--link-mtbf", "4000", "--link-mttr", "1e308"],
+        ),
+        (
+            "--transfer-timeout",
+            &["--link-mtbf", "4000", "--transfer-timeout", "1e308"],
+        ),
     ];
     for (flag, extra) in cases {
         let mut args = vec!["simulate", "--tasks", "60", "--sites", "2"];

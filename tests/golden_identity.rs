@@ -1,4 +1,4 @@
-//! Cross-commit identity: pinned results of one small run with every
+//! Cross-commit identity: pinned results of two small runs with every
 //! subsystem on at once.
 //!
 //! Every other identity test compares two paths of the *same* build (eval
@@ -43,7 +43,7 @@ const STRATEGIES: [StrategyKind; 8] = [
 
 /// The all-subsystems config: worker, server and link churn, the transfer
 /// guard, Young–Daly checkpointing and the churn-aware placement loop.
-fn config(strategy: StrategyKind, digest_out: &str) -> SimConfig {
+fn all_subsystems(strategy: StrategyKind) -> SimConfig {
     let mut coadd = CoaddConfig::small(3);
     coadd.tasks = 160;
     let faults = FaultConfig::none()
@@ -60,24 +60,72 @@ fn config(strategy: StrategyKind, digest_out: &str) -> SimConfig {
         .with_transfer_retries(3)
         .with_checkpointing(CheckpointConfig::young_daly())
         .with_control(ControlConfig::none().with_churn_placement())
-        .with_digest_out(digest_out)
-        .with_digest_window(900.0)
 }
 
-fn observe(strategy: StrategyKind) -> [u64; 11] {
+/// The edge-path config: the paths [`all_subsystems`] does not reach.
+/// Correlated crash bursts, proactive replication pushes, degraded
+/// (soft) link windows next to a scripted hard partition of site 0, the
+/// naive-restart transfer guard with a budget small enough to exhaust
+/// (the requeue path), and self-tuned Young–Daly checkpointing. Storage
+/// affinity also runs the adaptive replica throttle (the engine accepts
+/// it for that strategy only).
+fn edge_paths(strategy: StrategyKind) -> SimConfig {
+    let mut coadd = CoaddConfig::small(4);
+    coadd.tasks = 160;
+    let trace = FaultTrace::parse(
+        "600 partition 0\n4200 partition-heal 0\n9000 partition 1\n12000 partition-heal 1\n",
+    )
+    .expect("trace parses");
+    let faults = FaultConfig::none()
+        .with_worker_faults(5_400.0, 900.0)
+        .with_worker_bursts(7_200.0, 2)
+        .with_server_faults(15_000.0, 600.0)
+        .with_link_faults(6_000.0, 900.0)
+        .with_link_degrade_factor(0.2)
+        .with_trace(trace);
+    let mut control = ControlConfig::none()
+        .with_churn_placement()
+        .with_adaptive_checkpoint();
+    if strategy == StrategyKind::StorageAffinity {
+        control = control.with_adaptive_throttle();
+    }
+    SimConfig::paper(Arc::new(coadd.generate()), strategy)
+        .with_sites(3)
+        .with_workers_per_site(3)
+        .with_capacity(300)
+        .with_seed(11)
+        .with_faults(faults)
+        .with_replication(ReplicationConfig {
+            popularity_threshold: 3,
+            max_replicas_per_file: 2,
+        })
+        .with_transfer_timeout(1.5)
+        .with_transfer_retries(1)
+        .with_retry_backoff(45.0)
+        .with_naive_retry()
+        .with_checkpointing(CheckpointConfig::young_daly_adaptive())
+        .with_control(control)
+}
+
+/// Runs `config` with a windowed digest and reads back the pinned columns
+/// plus the full report.
+fn observe(config: SimConfig, tag: &str) -> ([u64; 11], MetricsReport) {
     let path = std::env::temp_dir()
         .join(format!(
-            "gridsched-golden-{}-{strategy}.jsonl",
+            "gridsched-golden-{}-{tag}.jsonl",
             std::process::id()
         ))
         .to_str()
         .expect("utf-8 temp path")
         .to_string();
-    let r = GridSim::new(config(strategy, &path)).run();
+    let config = config
+        .with_digest_out(path.as_str())
+        .with_digest_window(900.0);
+    let r = GridSim::new(config).run();
     let text = std::fs::read_to_string(&path).expect("digest written");
     let _ = std::fs::remove_file(&path);
     let digest = DigestStream::parse_jsonl(&text).expect("digest parses");
-    [
+    let row = [
         r.events_dispatched,
         r.file_transfers,
         r.total_evictions,
@@ -89,7 +137,30 @@ fn observe(strategy: StrategyKind) -> [u64; 11] {
         r.bytes_transferred.to_bits(),
         r.wasted_compute_s.to_bits(),
         digest.final_hash,
-    ]
+    ];
+    (row, r)
+}
+
+/// Checks every strategy's run of `config` against its recorded row and
+/// returns the reports.
+fn check(
+    name: &str,
+    config: fn(StrategyKind) -> SimConfig,
+    golden: &[[u64; 11]; 8],
+) -> Vec<MetricsReport> {
+    let mut reports = Vec::new();
+    for (strategy, expected) in STRATEGIES.into_iter().zip(golden) {
+        let (observed, report) = observe(config(strategy), &format!("{name}-{strategy}"));
+        for ((column, want), got) in COLUMNS.iter().zip(expected).zip(observed) {
+            assert_eq!(
+                got, *want,
+                "{name} {strategy}: {column} drifted from the recorded run; \
+                 observed row: {observed:?}"
+            );
+        }
+        reports.push(report);
+    }
+    reports
 }
 
 /// Recorded rows, one per entry of [`STRATEGIES`], columns as [`COLUMNS`].
@@ -121,16 +192,57 @@ const GOLDEN: [[u64; 11]; 8] = [
      4655377840431349897, 4771093762021839010, 4678271356213461092, 2572029918113897519],
 ];
 
+/// Recorded rows of [`edge_paths`], one per entry of [`STRATEGIES`].
+#[rustfmt::skip]
+const GOLDEN_EDGE: [[u64; 11]; 8] = [
+    // StorageAffinity
+    [17174, 8478, 2774, 9995, 205, 110, 278,
+     4658107278928225322, 4776411372272653635, 4679080909483823219, 7730095910144834566],
+    // Overlap
+    [14577, 6596, 1926, 8280, 154, 118, 263,
+     4657444344228114873, 4774832829610117078, 4678793359778920385, 12292430801188500626],
+    // Rest
+    [13907, 6290, 2000, 7590, 140, 129, 251,
+     4657188358776193247, 4774565664058005142, 4677480360079529094, 2057175811980633803],
+    // Combined
+    [12856, 5655, 1871, 6988, 129, 119, 221,
+     4656833697514226502, 4774031280840211846, 4677534172441842912, 5989825505692981124],
+    // Rest2
+    [13729, 6164, 2501, 7608, 169, 128, 234,
+     4657041345288263994, 4774473645245948976, 4679278263320115535, 1420805913510301000],
+    // Combined2
+    [13618, 6091, 2175, 7456, 194, 96, 250,
+     4657017570707499244, 4774433682782907774, 4676872552206691210, 2848653913410569493],
+    // Workqueue
+    [14153, 6390, 2131, 8165, 172, 96, 256,
+     4657255167469406462, 4774682382072421052, 4675866634614880980, 17001008227715392757],
+    // Sufferage
+    [13971, 6321, 2088, 7620, 132, 105, 246,
+     4657228530209063782, 4774593651499867384, 4677468585628839232, 12997450887650356563],
+];
+
 #[test]
 fn all_subsystems_run_matches_recorded_values() {
-    for (strategy, expected) in STRATEGIES.into_iter().zip(GOLDEN) {
-        let observed = observe(strategy);
-        for ((column, want), got) in COLUMNS.iter().zip(expected).zip(observed) {
-            assert_eq!(
-                got, want,
-                "{strategy}: {column} drifted from the recorded run; \
-                 observed row: {observed:?}"
-            );
-        }
+    check("all", all_subsystems, &GOLDEN);
+}
+
+#[test]
+fn edge_path_run_matches_recorded_values() {
+    let reports = check("edge", edge_paths, &GOLDEN_EDGE);
+    // The config really reaches the paths it is meant to pin: summed over
+    // the strategies, each one fires.
+    let total = |count: fn(&MetricsReport) -> u64| reports.iter().map(count).sum::<u64>();
+    for (path, hits) in [
+        ("replication pushes", total(|r| r.replication_pushes)),
+        ("link outages", total(|r| r.link_outages)),
+        ("exhausted-retry requeues", total(|r| r.flows_requeued)),
+        (
+            "naive retransmits",
+            total(|r| u64::from(r.xfer_bytes_retransmitted > 0.0)),
+        ),
+        ("checkpoints written", total(|r| r.checkpoints_written)),
+        ("checkpoint restores", total(|r| r.checkpoint_restores)),
+    ] {
+        assert!(hits > 0, "the edge-path config never reaches {path}");
     }
 }
