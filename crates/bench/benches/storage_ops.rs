@@ -1,6 +1,8 @@
-//! Site-storage micro-benchmarks: insert/evict churn, overlap queries and
-//! the reference-sum used by the `combined` metric, per replacement
-//! policy, at the paper's default capacity (6,000 files).
+//! Site-storage micro-benchmarks: insert/evict churn, task references to
+//! resident files (one per input at every task start, the store's hottest
+//! path), overlap queries and the reference-sum used by the `combined`
+//! metric, per replacement policy, at the paper's default capacity (6,000
+//! files).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -38,6 +40,27 @@ fn bench_insert_churn(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_reference_touch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_reference_touch");
+    let mut rng = StdRng::seed_from_u64(3);
+    let files: Vec<FileId> = (0..1000).map(|_| FileId(rng.gen_range(0..6000))).collect();
+    for policy in EvictionPolicy::ALL {
+        let mut store = SiteStore::new(6000, policy);
+        for i in 0..6000 {
+            store.insert(FileId(i));
+        }
+        group.bench_with_input(BenchmarkId::from_parameter(policy), &policy, |b, _| {
+            b.iter(|| {
+                for &f in &files {
+                    store.record_task_reference(f);
+                }
+            })
+        });
+        std::hint::black_box(store.stats());
+    }
+    group.finish();
+}
+
 fn bench_overlap_queries(c: &mut Criterion) {
     let mut store = SiteStore::new(6000, EvictionPolicy::Lru);
     let mut rng = StdRng::seed_from_u64(2);
@@ -60,5 +83,10 @@ fn bench_overlap_queries(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_insert_churn, bench_overlap_queries);
+criterion_group!(
+    benches,
+    bench_insert_churn,
+    bench_reference_touch,
+    bench_overlap_queries
+);
 criterion_main!(benches);

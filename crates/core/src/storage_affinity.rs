@@ -420,8 +420,7 @@ impl Scheduler for StorageAffinity {
             .iter()
             .map(|s| {
                 let mut v = VirtualStore::new(env.capacity_files);
-                let mut resident: Vec<FileId> = s.resident().collect();
-                resident.sort_unstable();
+                let resident: Vec<FileId> = s.resident().collect();
                 v.admit(&resident);
                 v
             })

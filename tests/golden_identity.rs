@@ -1,4 +1,4 @@
-//! Cross-commit identity: pinned results of two small runs with every
+//! Cross-commit identity: pinned results of small runs with every
 //! subsystem on at once.
 //!
 //! Every other identity test compares two paths of the *same* build (eval
@@ -60,6 +60,17 @@ fn all_subsystems(strategy: StrategyKind) -> SimConfig {
         .with_transfer_retries(3)
         .with_checkpointing(CheckpointConfig::young_daly())
         .with_control(ControlConfig::none().with_churn_placement())
+}
+
+/// [`all_subsystems`] under FIFO replacement (server churn reaches
+/// `SiteStore::fail`).
+fn all_subsystems_fifo(strategy: StrategyKind) -> SimConfig {
+    all_subsystems(strategy).with_policy(EvictionPolicy::Fifo)
+}
+
+/// [`all_subsystems`] under LFU replacement.
+fn all_subsystems_lfu(strategy: StrategyKind) -> SimConfig {
+    all_subsystems(strategy).with_policy(EvictionPolicy::Lfu)
 }
 
 /// The edge-path config: the paths [`all_subsystems`] does not reach.
@@ -221,6 +232,64 @@ const GOLDEN_EDGE: [[u64; 11]; 8] = [
      4657228530209063782, 4774593651499867384, 4677468585628839232, 12997450887650356563],
 ];
 
+/// Recorded rows of [`all_subsystems_fifo`], one per entry of [`STRATEGIES`].
+#[rustfmt::skip]
+const GOLDEN_FIFO: [[u64; 11]; 8] = [
+    // StorageAffinity
+    [13947, 5221, 1029, 6921, 276, 142, 108,
+     4657952492003604734, 4773421223949922432, 4687519830471625659, 8149522525024379191],
+    // Overlap
+    [10825, 4697, 1513, 5946, 233, 111, 243,
+     4655546468237996905, 4772547537704107627, 4676374278678975911, 2248538493135920550],
+    // Rest
+    [7577, 2372, 554, 3414, 169, 87, 182,
+     4653962119066771547, 4768147558241698756, 4675462467796816236, 9619404176748194935],
+    // Combined
+    [9474, 3408, 1028, 4592, 200, 92, 214,
+     4655498484186728215, 4770435950411000882, 4676525533127918956, 10605301291448088854],
+    // Rest2
+    [8989, 3031, 746, 4177, 194, 93, 207,
+     4655322823251463402, 4769818604614010494, 4676578796432484034, 8095410708942207113],
+    // Combined2
+    [8123, 2748, 758, 3847, 165, 93, 196,
+     4654294351639086779, 4769339033421417475, 4676643722476551992, 4839512963143980995],
+    // Workqueue
+    [12059, 5366, 1839, 6724, 258, 114, 278,
+     4656461788805690575, 4773646411412841628, 4677449664318713446, 7868144919003227343],
+    // Sufferage
+    [9749, 3717, 1362, 4938, 227, 91, 226,
+     4655313964328310989, 4770941364198777225, 4677592210889304512, 2123301077928621219],
+];
+
+/// Recorded rows of [`all_subsystems_lfu`], one per entry of [`STRATEGIES`].
+#[rustfmt::skip]
+const GOLDEN_LFU: [[u64; 11]; 8] = [
+    // StorageAffinity
+    [15473, 5496, 1031, 7457, 339, 165, 103,
+     4658730622489850279, 4773844535967658738, 4688953417860148958, 11220872635125644291],
+    // Overlap
+    [11656, 4937, 1864, 6302, 256, 116, 271,
+     4656330871286413350, 4772951076723438890, 4677685732982794184, 6751962076111726019],
+    // Rest
+    [8527, 2961, 917, 4076, 187, 93, 199,
+     4654521928559103950, 4769704075862094644, 4676119466695742536, 7350030540097383658],
+    // Combined
+    [11111, 4355, 1407, 5720, 236, 111, 261,
+     4656348159648538188, 4772003083975293310, 4677536215815170666, 11765625581584311583],
+    // Rest2
+    [10388, 3728, 1006, 5005, 231, 105, 238,
+     4656249283761185227, 4770955946402464105, 4677133836812526842, 5414235230443588220],
+    // Combined2
+    [9861, 3760, 1107, 5003, 217, 90, 233,
+     4655386516928501446, 4771022977398221444, 4677022531210048255, 17753285857647740103],
+    // Workqueue
+    [14166, 6666, 2866, 8185, 360, 113, 325,
+     4657224740124637594, 4774807822688801517, 4676498852423238406, 12560188741997397122],
+    // Sufferage
+    [10719, 4117, 1588, 5458, 260, 107, 258,
+     4656098791094188737, 4771601125997983691, 4677820319388690362, 14322201036096552324],
+];
+
 #[test]
 fn all_subsystems_run_matches_recorded_values() {
     check("all", all_subsystems, &GOLDEN);
@@ -245,4 +314,24 @@ fn edge_path_run_matches_recorded_values() {
     ] {
         assert!(hits > 0, "the edge-path config never reaches {path}");
     }
+}
+
+/// Checks a replacement-policy table and that its runs reach both policy
+/// evictions and server-outage losses (`SiteStore::fail`).
+fn check_policy(name: &str, config: fn(StrategyKind) -> SimConfig, golden: &[[u64; 11]; 8]) {
+    let reports = check(name, config, golden);
+    let evictions: u64 = reports.iter().map(|r| r.total_evictions).sum();
+    let outages: u64 = reports.iter().map(|r| r.server_outages).sum();
+    assert!(evictions > 0, "{name}: the config never evicts");
+    assert!(outages > 0, "{name}: the config never fails a server");
+}
+
+#[test]
+fn fifo_run_matches_recorded_values() {
+    check_policy("fifo", all_subsystems_fifo, &GOLDEN_FIFO);
+}
+
+#[test]
+fn lfu_run_matches_recorded_values() {
+    check_policy("lfu", all_subsystems_lfu, &GOLDEN_LFU);
 }
