@@ -168,37 +168,164 @@ impl FileIndex {
 /// buckets. The zero-missing `Combined` bucket orders by id alone — its
 /// weight is `+∞` regardless of references.
 ///
+/// The bucket kind follows from (metric, level) alone: id-ordered levels
+/// are bitsets (a re-file is two bit flips), finite
+/// `Combined` levels are `(u64::MAX − refsum, id)` `BTreeSet`s (a re-file
+/// is one `O(log T)` remove + insert).
+///
 /// The owning [`SiteView`] keeps the bucket coordinates in sync on every
 /// counter change. Pool membership propagates **lazily** (see the module
 /// docs): a member may be stale — no longer pending — until a read at this
 /// site encounters and repairs it, so `len()` bounds the pending
-/// population from above rather than equalling it. Each maintenance step
-/// is one `BTreeSet` remove + insert — `O(log T)`.
+/// population from above rather than equalling it.
 #[derive(Debug, Clone)]
 pub struct TaskRank {
     metric: WeightMetric,
-    /// `buckets[level]` — ordered `(key, task id)`; see [`TaskRank`] docs
-    /// for the key.
-    buckets: Vec<BTreeSet<(u64, u32)>>,
+    buckets: Vec<Bucket>,
     member: Vec<bool>,
     level_of: Vec<u32>,
+    /// Member tasks' `BTreeSet` key — indexed only for keyed levels, so
+    /// empty unless the metric is `Combined`.
     key_of: Vec<u64>,
-    /// Member tasks' cached `Σ r_i` (mirrors [`SiteView::refsum`] so key
-    /// changes need no caller-side bookkeeping).
-    refsum_of: Vec<u64>,
     len: usize,
+}
+
+/// One rank level; see [`TaskRank`] for which kind a level gets.
+#[derive(Debug, Clone)]
+enum Bucket {
+    Ids(IdBucket),
+    Keyed(BTreeSet<(u64, u32)>),
+}
+
+impl Bucket {
+    /// The members in bucket order.
+    fn iter(&self) -> BucketIter<'_> {
+        match self {
+            Bucket::Ids(bits) => BucketIter::Ids(bits.iter()),
+            Bucket::Keyed(set) => BucketIter::Keyed(set.iter()),
+        }
+    }
+}
+
+enum BucketIter<'a> {
+    Ids(IdIter<'a>),
+    Keyed(std::collections::btree_set::Iter<'a, (u64, u32)>),
+}
+
+impl Iterator for BucketIter<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            BucketIter::Ids(it) => it.next(),
+            BucketIter::Keyed(it) => it.next().map(|&(_, t)| t),
+        }
+    }
+}
+
+/// A set of task ids iterated in ascending order: one bit per task, a
+/// one-bit-per-word summary of the non-zero words (so a walk skips empty
+/// words 4096 ids at a time) and a member count. The words are allocated
+/// on the first insert — most levels of most sites never hold a task.
+#[derive(Debug, Clone, Default)]
+struct IdBucket {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    len: usize,
+}
+
+impl IdBucket {
+    /// Adds `t` (not a member) to a set over ids `0..num_ids`.
+    fn insert(&mut self, t: u32, num_ids: usize) {
+        if self.words.is_empty() {
+            self.words = vec![0; num_ids.div_ceil(64)];
+            self.summary = vec![0; self.words.len().div_ceil(64)];
+        }
+        let w = (t / 64) as usize;
+        debug_assert_eq!(self.words[w] >> (t % 64) & 1, 0, "task {t} already filed");
+        self.words[w] |= 1 << (t % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.len += 1;
+    }
+
+    /// Drops member `t`.
+    fn remove(&mut self, t: u32) {
+        let w = (t / 64) as usize;
+        debug_assert_eq!(self.words[w] >> (t % 64) & 1, 1, "task {t} not filed");
+        self.words[w] &= !(1 << (t % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        self.len -= 1;
+    }
+
+    fn iter(&self) -> IdIter<'_> {
+        // An empty level ends the walk at once, without reading the summary.
+        let summary_ix = if self.len == 0 { self.summary.len() } else { 0 };
+        IdIter {
+            bucket: self,
+            summary_ix,
+            summary_bits: self.summary.get(summary_ix).copied().unwrap_or(0),
+            word_ix: 0,
+            bits: 0,
+        }
+    }
+}
+
+struct IdIter<'a> {
+    bucket: &'a IdBucket,
+    summary_ix: usize,
+    /// Not-yet-visited non-zero words of `summary[summary_ix]`.
+    summary_bits: u64,
+    word_ix: usize,
+    /// Not-yet-yielded members of `words[word_ix]`.
+    bits: u64,
+}
+
+impl Iterator for IdIter<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.bits == 0 {
+            while self.summary_bits == 0 {
+                self.summary_ix += 1;
+                self.summary_bits = *self.bucket.summary.get(self.summary_ix)?;
+            }
+            self.word_ix = self.summary_ix * 64 + self.summary_bits.trailing_zeros() as usize;
+            self.summary_bits &= self.summary_bits - 1;
+            self.bits = self.bucket.words[self.word_ix];
+        }
+        let t = self.word_ix as u32 * 64 + self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(t)
+    }
 }
 
 impl TaskRank {
     fn new(metric: WeightMetric, num_tasks: usize, max_level: u32) -> Self {
-        let levels = max_level as usize + 1;
+        let keyed = metric == WeightMetric::Combined;
+        let buckets = (0..=max_level)
+            .map(|level| {
+                // Only finite Combined levels order by references; level 0
+                // there means zero missing files (weight +∞ for every
+                // reference count).
+                if keyed && level > 0 {
+                    Bucket::Keyed(BTreeSet::new())
+                } else {
+                    Bucket::Ids(IdBucket::default())
+                }
+            })
+            .collect();
         TaskRank {
             metric,
-            buckets: vec![BTreeSet::new(); levels],
+            buckets,
             member: vec![false; num_tasks],
             level_of: vec![0; num_tasks],
-            key_of: vec![0; num_tasks],
-            refsum_of: vec![0; num_tasks],
+            key_of: if keyed {
+                vec![0; num_tasks]
+            } else {
+                Vec::new()
+            },
             len: 0,
         }
     }
@@ -228,13 +355,26 @@ impl TaskRank {
         }
     }
 
-    fn key_for(&self, level: u32, refsum: u64) -> u64 {
-        // Only finite Combined buckets order by references; level 0 there
-        // means zero missing files (weight +∞ for every reference count).
-        if self.metric == WeightMetric::Combined && level > 0 {
-            u64::MAX - refsum
-        } else {
-            0
+    /// Files member `t` under `level`.
+    fn file(&mut self, t: usize, level: u32, refsum: u64) {
+        match &mut self.buckets[level as usize] {
+            Bucket::Ids(bits) => bits.insert(t as u32, self.member.len()),
+            Bucket::Keyed(set) => {
+                let key = u64::MAX - refsum;
+                set.insert((key, t as u32));
+                self.key_of[t] = key;
+            }
+        }
+        self.level_of[t] = level;
+    }
+
+    /// Takes member `t` out of its bucket.
+    fn unfile(&mut self, t: usize) {
+        match &mut self.buckets[self.level_of[t] as usize] {
+            Bucket::Ids(bits) => bits.remove(t as u32),
+            Bucket::Keyed(set) => {
+                set.remove(&(self.key_of[t], t as u32));
+            }
         }
     }
 
@@ -242,12 +382,8 @@ impl TaskRank {
         if self.member[t] {
             return;
         }
-        let key = self.key_for(level, refsum);
-        self.buckets[level as usize].insert((key, t as u32));
+        self.file(t, level, refsum);
         self.member[t] = true;
-        self.level_of[t] = level;
-        self.key_of[t] = key;
-        self.refsum_of[t] = refsum;
         self.len += 1;
     }
 
@@ -255,8 +391,7 @@ impl TaskRank {
         if !self.member[t] {
             return;
         }
-        let level = self.level_of[t] as usize;
-        self.buckets[level].remove(&(self.key_of[t], t as u32));
+        self.unfile(t);
         self.member[t] = false;
         self.len -= 1;
     }
@@ -266,16 +401,15 @@ impl TaskRank {
         if !self.member[t] {
             return;
         }
-        self.refsum_of[t] = refsum;
-        let key = self.key_for(level, refsum);
-        if level == self.level_of[t] && key == self.key_of[t] {
-            return;
+        if level == self.level_of[t] {
+            match self.buckets[level as usize] {
+                Bucket::Ids(_) => return,
+                Bucket::Keyed(_) if self.key_of[t] == u64::MAX - refsum => return,
+                Bucket::Keyed(_) => {}
+            }
         }
-        let old_level = self.level_of[t] as usize;
-        self.buckets[old_level].remove(&(self.key_of[t], t as u32));
-        self.buckets[level as usize].insert((key, t as u32));
-        self.level_of[t] = level;
-        self.key_of[t] = key;
+        self.unfile(t);
+        self.file(t, level, refsum);
     }
 }
 
@@ -376,6 +510,15 @@ impl PendingLog {
     }
 }
 
+/// Reusable scratch of [`SiteView::on_task_references`]: per-task deltas
+/// (all zero between calls) and the readers touched by the current call.
+/// One per scheduler — views of all sites share it.
+#[derive(Debug, Clone, Default)]
+pub struct RefScratch {
+    delta: Vec<u32>,
+    touched: Vec<u32>,
+}
+
 /// Incrementally-maintained per-site overlap state.
 ///
 /// For every task `t`, caches:
@@ -385,7 +528,7 @@ impl PendingLog {
 /// The owner must forward every storage change:
 /// [`SiteView::on_file_added`] after an insert,
 /// [`SiteView::on_file_evicted`] for each eviction, and
-/// [`SiteView::on_task_reference`] after each `r_i` increment.
+/// [`SiteView::on_task_references`] after a task start's `r_i` increments.
 #[derive(Debug, Clone)]
 pub struct SiteView {
     overlap: Vec<u32>,
@@ -484,10 +627,11 @@ impl SiteView {
     }
 
     /// Bulk-admits `tasks` (ascending, not yet tracked) into a freshly
-    /// enabled priority index: per-bucket sorted runs built in one pass,
-    /// then loaded via `BTreeSet::from_iter` — equivalent to
-    /// [`SiteView::rank_insert`] per task, minus `O(T)` tree inserts per
-    /// site.
+    /// enabled priority index — equivalent to [`SiteView::rank_insert`]
+    /// per task. Id-ordered levels take each task as a bit; keyed levels
+    /// collect per-level runs in one pass, then load them via
+    /// `BTreeSet::from_iter` (a bulk build, far leaner than `O(T)` tree
+    /// inserts per site).
     ///
     /// # Panics
     ///
@@ -497,32 +641,38 @@ impl SiteView {
             .rank
             .as_mut()
             .expect("rank_bulk_admit requires an enabled rank");
-        let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::new(); rank.buckets.len()];
+        let mut keyed: Vec<Vec<(u64, u32)>> = vec![Vec::new(); rank.buckets.len()];
         for &task in tasks {
             let t = task.index();
             if rank.member[t] {
                 continue;
             }
-            let (overlap, refsum) = (self.overlap[t], self.refsum[t]);
-            let level = rank.level_for(index.task_size(task), overlap);
-            let key = rank.key_for(level, refsum);
-            buckets[level as usize].push((key, task.0));
+            let level = rank.level_for(index.task_size(task), self.overlap[t]);
+            match &mut rank.buckets[level as usize] {
+                Bucket::Ids(bits) => bits.insert(task.0, rank.member.len()),
+                Bucket::Keyed(_) => {
+                    let key = u64::MAX - self.refsum[t];
+                    keyed[level as usize].push((key, task.0));
+                    rank.key_of[t] = key;
+                }
+            }
             rank.member[t] = true;
             rank.level_of[t] = level;
-            rank.key_of[t] = key;
-            rank.refsum_of[t] = refsum;
             rank.len += 1;
         }
-        for (level, entries) in buckets.into_iter().enumerate() {
-            if !entries.is_empty() {
-                // A hard assert: silently overwriting a non-empty bucket
-                // would drop tracked tasks while member[]/len still count
-                // them. Cold path (once per rank enable), so it is free.
-                assert!(
-                    rank.buckets[level].is_empty(),
-                    "rank_bulk_admit into a non-empty bucket (level {level})"
-                );
-                rank.buckets[level] = entries.into_iter().collect();
+        for (level, (bucket, entries)) in rank.buckets.iter_mut().zip(keyed).enumerate() {
+            if let Bucket::Keyed(set) = bucket {
+                if !entries.is_empty() {
+                    // A hard assert: silently overwriting a non-empty
+                    // bucket would drop tracked tasks while member[]/len
+                    // still count them. Cold path (once per rank enable),
+                    // so it is free.
+                    assert!(
+                        set.is_empty(),
+                        "rank_bulk_admit into a non-empty bucket (level {level})"
+                    );
+                    *set = entries.into_iter().collect();
+                }
             }
         }
     }
@@ -598,27 +748,52 @@ impl SiteView {
         }
     }
 
-    /// Records that a task referenced resident `file` (`r_i += 1`).
-    pub fn on_task_reference(&mut self, index: &FileIndex, file: FileId) {
-        self.on_task_reference_pruning(index, file, |_| true);
-    }
-
-    /// [`SiteView::on_task_reference`] with opportunistic stale repair
-    /// (see [`SiteView::on_file_added_pruning`]).
-    pub fn on_task_reference_pruning<F: FnMut(TaskId) -> bool>(
+    /// Records that one task start referenced each of `files` (all
+    /// resident; `r_i += 1` per file), with the opportunistic stale repair
+    /// of [`SiteView::on_file_added_pruning`].
+    ///
+    /// A task reading `k` of the files gains `k` in its refsum and is
+    /// re-filed once, not `k` times: the deltas gather in `scratch` first,
+    /// then each distinct reader is visited once. The end state equals
+    /// referencing the files one at a time, because a bucket's order
+    /// depends only on the final counters.
+    ///
+    /// Returns `Σ delta` over the distinct readers passing `live` — the
+    /// rise of the site's pending `Σ refsum` (see
+    /// [`ComboAggregates::on_task_references`]).
+    pub fn on_task_references<F: FnMut(TaskId) -> bool>(
         &mut self,
         index: &FileIndex,
-        file: FileId,
+        files: &[FileId],
+        scratch: &mut RefScratch,
         mut live: F,
-    ) {
-        for &t in index.tasks_of(file) {
+    ) -> u64 {
+        if scratch.delta.len() < self.refsum.len() {
+            scratch.delta.resize(self.refsum.len(), 0);
+        }
+        for &file in files {
+            for &t in index.tasks_of(file) {
+                let delta = &mut scratch.delta[t as usize];
+                if *delta == 0 {
+                    scratch.touched.push(t);
+                }
+                *delta += 1;
+            }
+        }
+        let mut live_delta = 0;
+        for t in scratch.touched.drain(..) {
             let ti = t as usize;
-            self.refsum[ti] += 1;
+            let delta = u64::from(std::mem::take(&mut scratch.delta[ti]));
+            self.refsum[ti] += delta;
+            let is_live = live(TaskId(t));
+            if is_live {
+                live_delta += delta;
+            }
             if let Some(rank) = self.rank.as_mut() {
                 if !rank.member[ti] {
                     continue;
                 }
-                if live(TaskId(t)) {
+                if is_live {
                     let level = rank.level_of[ti];
                     rank.sync(ti, level, self.refsum[ti]);
                 } else {
@@ -626,6 +801,7 @@ impl SiteView {
                 }
             }
         }
+        live_delta
     }
 
     /// Cached `|F_t|`.
@@ -690,7 +866,7 @@ impl SiteView {
                     // live tasks in (level desc, id asc) order are the
                     // exact top-n.
                     'levels: for level in (0..rank.buckets.len()).rev() {
-                        for &(_, t) in &rank.buckets[level] {
+                        for t in rank.buckets[level].iter() {
                             if !live(TaskId(t)) {
                                 stale.push(t);
                                 continue;
@@ -706,7 +882,7 @@ impl SiteView {
                     // Strictly decreasing weight as missing grows:
                     // ascending levels yield the exact top-n.
                     'levels: for (level, bucket) in rank.buckets.iter().enumerate() {
-                        for &(_, t) in bucket {
+                        for t in bucket.iter() {
                             if !live(TaskId(t)) {
                                 stale.push(t);
                                 continue;
@@ -728,7 +904,7 @@ impl SiteView {
                         combined_totals.expect("Combined pick needs ComboAggregates totals");
                     for (level, bucket) in rank.buckets.iter().enumerate() {
                         let mut taken = 0;
-                        for &(_, t) in bucket {
+                        for t in bucket.iter() {
                             if !live(TaskId(t)) {
                                 stale.push(t);
                                 continue;
@@ -799,7 +975,7 @@ impl SiteView {
                 "top_overlap_where needs an Overlap-ordered rank"
             );
             'levels: for level in (0..rank.buckets.len()).rev() {
-                for &(_, t) in &rank.buckets[level] {
+                for t in rank.buckets[level].iter() {
                     let task = TaskId(t);
                     if !live(task) {
                         stale.push(t);
@@ -889,7 +1065,7 @@ pub fn enable_ranks(
 /// Event routing (the owner must keep this in lock-step with the views;
 /// all hooks take the *already updated* [`SiteView`] of the event's site):
 /// [`ComboAggregates::on_file_added`] / [`ComboAggregates::on_file_evicted`]
-/// / [`ComboAggregates::on_task_reference`] after the view update, and
+/// / [`ComboAggregates::on_task_references`] after the view update, and
 /// [`ComboAggregates::on_pool_remove`] / [`ComboAggregates::on_pool_insert`]
 /// on membership changes.
 #[derive(Debug, Clone)]
@@ -1010,21 +1186,11 @@ impl ComboAggregates {
         }
     }
 
-    /// A task at `site` referenced resident `file` (`r_i += 1`): every
-    /// pending reader's refsum rose by one.
-    pub fn on_task_reference(
-        &mut self,
-        site: usize,
-        index: &FileIndex,
-        file: FileId,
-        pool: &TaskPool,
-    ) {
-        let pending_readers = index
-            .tasks_of(file)
-            .iter()
-            .filter(|&&t| pool.contains(TaskId(t)))
-            .count() as u64;
-        self.total_ref[site] += pending_readers;
+    /// A task start at `site` raised the refsum of its pending readers by
+    /// `pending_delta` in total — the value [`SiteView::on_task_references`]
+    /// returns when its `live` predicate is pool membership.
+    pub fn on_task_references(&mut self, site: usize, pending_delta: u64) {
+        self.total_ref[site] += pending_delta;
     }
 
     /// `task` (input set `files`) left the pending pool. Touches only the
@@ -1130,7 +1296,7 @@ mod tests {
         assert_eq!(view.overlap(TaskId(2)), 0);
 
         store.record_task_reference(FileId(1));
-        view.on_task_reference(&idx, FileId(1));
+        view.on_task_references(&idx, &[FileId(1)], &mut RefScratch::default(), |_| true);
         assert_eq!(view.refsum(TaskId(0)), 1);
 
         view.assert_consistent(&idx, &workload, &store);
@@ -1146,7 +1312,7 @@ mod tests {
         store.insert(FileId(1));
         view.on_file_added(&idx, FileId(1), store.ref_count(FileId(1)));
         store.record_task_reference(FileId(1));
-        view.on_task_reference(&idx, FileId(1));
+        view.on_task_references(&idx, &[FileId(1)], &mut RefScratch::default(), |_| true);
 
         // Inserting file 2 evicts file 1 (capacity 1).
         let ref_before = store.ref_count(FileId(1));
@@ -1174,7 +1340,7 @@ mod tests {
             view.assert_consistent(&idx, &workload, &store);
         }
         store.record_task_reference(FileId(2));
-        view.on_task_reference(&idx, FileId(2));
+        view.on_task_references(&idx, &[FileId(2)], &mut RefScratch::default(), |_| true);
         view.assert_consistent(&idx, &workload, &store);
     }
 }
@@ -1352,8 +1518,11 @@ mod rank_tests {
             );
         }
         store.record_task_reference(FileId(1));
-        views[0].on_task_reference(&idx, FileId(1));
-        combo.on_task_reference(0, &idx, FileId(1), &pool);
+        let pending_delta =
+            views[0].on_task_references(&idx, &[FileId(1)], &mut RefScratch::default(), |t| {
+                pool.contains(t)
+            });
+        combo.on_task_references(0, pending_delta);
         check(&combo, &pool, &store);
 
         // Membership: remove a nonzero-overlap task, then re-admit it.
@@ -1443,6 +1612,7 @@ mod proptests {
             let idx = FileIndex::build(&workload);
             let mut store = SiteStore::new(cap, EvictionPolicy::Lru);
             let mut view = SiteView::new(workload.task_count());
+            let mut scratch = RefScratch::default();
             for op in ops {
                 match op {
                     Op::Insert(f) => {
@@ -1459,7 +1629,7 @@ mod proptests {
                         let f = FileId(f);
                         if store.contains(f) {
                             store.record_task_reference(f);
-                            view.on_task_reference(&idx, f);
+                            view.on_task_references(&idx, &[f], &mut scratch, |_| true);
                         }
                     }
                     // Pool membership does not touch the counters.
@@ -1498,6 +1668,7 @@ mod proptests {
             }
             let mut combo = ComboAggregates::new(&idx, &pool, 1);
             let mut log = PendingLog::new();
+            let mut scratch = RefScratch::default();
             let mut rng_naive = StdRng::seed_from_u64(seed);
             let mut rng_ranked = StdRng::seed_from_u64(seed);
             for op in ops {
@@ -1518,8 +1689,10 @@ mod proptests {
                         let f = FileId(f);
                         if store.contains(f) {
                             store.record_task_reference(f);
-                            view.on_task_reference(&idx, f);
-                            combo.on_task_reference(0, &idx, f, &pool);
+                            let pending_delta = view.on_task_references(
+                                &idx, &[f], &mut scratch, |t| pool.contains(t),
+                            );
+                            combo.on_task_references(0, pending_delta);
                         }
                     }
                     Op::RemoveTask(t) => {
@@ -1546,6 +1719,236 @@ mod proptests {
                 view.sync_pending(&idx, &log, |t| pool.contains(t));
                 let ranked = view.pick_ranked(&chooser, &mut rng_ranked, |t| pool.contains(t), totals);
                 prop_assert_eq!(naive, ranked, "metric {} n {}", metric, n);
+            }
+        }
+    }
+
+    /// The per-file reference update that [`SiteView::on_task_references`]
+    /// batches: `r_i += 1` for one resident `file`, re-filing (or pruning)
+    /// every reader on each call. Returns how many readers pass `live` —
+    /// what `ComboAggregates` adds to `totalRef` per file. Test oracle of
+    /// the batched update only.
+    fn reference_sequential<F: FnMut(TaskId) -> bool>(
+        view: &mut SiteView,
+        index: &FileIndex,
+        file: FileId,
+        mut live: F,
+    ) -> u64 {
+        let mut live_readers = 0;
+        for &t in index.tasks_of(file) {
+            let ti = t as usize;
+            view.refsum[ti] += 1;
+            let is_live = live(TaskId(t));
+            live_readers += u64::from(is_live);
+            if let Some(rank) = view.rank.as_mut() {
+                if !rank.member[ti] {
+                    continue;
+                }
+                if is_live {
+                    let level = rank.level_of[ti];
+                    rank.sync(ti, level, view.refsum[ti]);
+                } else {
+                    rank.remove(ti);
+                }
+            }
+        }
+        live_readers
+    }
+
+    /// Each level's members in bucket order.
+    fn rank_contents(view: &SiteView) -> Vec<Vec<u32>> {
+        let rank = view.rank.as_ref().expect("enabled");
+        rank.buckets.iter().map(|b| b.iter().collect()).collect()
+    }
+
+    #[derive(Debug, Clone)]
+    enum BitOp {
+        Insert(u32),
+        /// Removes the oracle's member at this position (mod its length).
+        RemoveNth(usize),
+        /// Walks only to the first member, as a pick usually does.
+        First,
+    }
+
+    fn arb_bit_ops() -> impl Strategy<Value = (u32, Vec<BitOp>)> {
+        // Small universes hit word boundaries densely; large ones span
+        // several summary words (4096 ids each).
+        prop_oneof![1u32..200, 4000u32..13000].prop_flat_map(|n| {
+            let op = prop_oneof![
+                (0..n).prop_map(BitOp::Insert),
+                (0usize..64).prop_map(BitOp::RemoveNth),
+                Just(BitOp::First),
+            ];
+            (Just(n), proptest::collection::vec(op, 0..150))
+        })
+    }
+
+    #[derive(Debug, Clone)]
+    enum BatchOp {
+        Insert(u32),
+        /// One task start referencing these files (the resident ones,
+        /// repeats allowed).
+        Start(Vec<u32>),
+        /// Toggles a task's pool membership — the liveness predicate.
+        Toggle(u32),
+    }
+
+    fn arb_batch_ops() -> impl Strategy<Value = Vec<BatchOp>> {
+        let op = prop_oneof![
+            (0u32..12).prop_map(BatchOp::Insert),
+            proptest::collection::vec(0u32..12, 0..8).prop_map(BatchOp::Start),
+            (0u32..10).prop_map(BatchOp::Toggle),
+        ];
+        proptest::collection::vec(op, 0..60)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// An id-ordered bitset bucket holds and walks exactly what a
+        /// `BTreeSet<(0, id)>` — the bucket kind it replaced — would, and
+        /// its summary and count stay exact, after every op.
+        #[test]
+        fn id_bucket_matches_btreeset_oracle((n, ops) in arb_bit_ops()) {
+            let mut bits = IdBucket::default();
+            let mut oracle: BTreeSet<(u64, u32)> = BTreeSet::new();
+            for op in ops {
+                match op {
+                    // The rank never files a member twice.
+                    BitOp::Insert(t) => {
+                        if oracle.insert((0, t)) {
+                            bits.insert(t, n as usize);
+                        }
+                    }
+                    BitOp::RemoveNth(k) => {
+                        if let Some(&(_, t)) = oracle.iter().nth(k % oracle.len().max(1)) {
+                            oracle.remove(&(0, t));
+                            bits.remove(t);
+                        }
+                    }
+                    BitOp::First => {
+                        prop_assert_eq!(bits.iter().next(), oracle.first().map(|&(_, t)| t));
+                    }
+                }
+                let want: Vec<u32> = oracle.iter().map(|&(_, t)| t).collect();
+                prop_assert_eq!(bits.iter().collect::<Vec<_>>(), want);
+                prop_assert_eq!(bits.len, oracle.len());
+                prop_assert_eq!(bits.len == 0, oracle.is_empty());
+                for (w, &word) in bits.words.iter().enumerate() {
+                    prop_assert_eq!(
+                        bits.summary[w / 64] >> (w % 64) & 1 == 1,
+                        word != 0,
+                        "summary bit of word {}", w
+                    );
+                }
+            }
+        }
+
+        /// A task start's references applied in one batch leave the view —
+        /// counters, rank membership and order, the ranked pick and its
+        /// RNG draws — and the `combined` normalisers exactly as applying
+        /// them file by file does, for every metric, with pool membership
+        /// (the liveness predicate) toggling underneath.
+        #[test]
+        fn batched_references_match_sequential(
+            workload in arb_workload(),
+            ops in arb_batch_ops(),
+            cap in 1usize..8,
+            metric_ix in 0usize..3,
+            n in 1usize..4,
+            seed in 0u64..8,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::SeedableRng;
+
+            let metric = [WeightMetric::Overlap, WeightMetric::Rest, WeightMetric::Combined][metric_ix];
+            let chooser = ChooseTask::new(n);
+            let idx = FileIndex::build(&workload);
+            let mut store = SiteStore::new(cap, EvictionPolicy::Lru);
+            let mut pool = TaskPool::full(workload.task_count());
+            // [batched, sequential]
+            let mut views = vec![SiteView::new(workload.task_count()); 2];
+            enable_ranks(&mut views, metric, &idx, &pool);
+            let mut combos = vec![ComboAggregates::new(&idx, &pool, 1); 2];
+            let mut log = PendingLog::new();
+            let mut scratch = RefScratch::default();
+            let mut rngs = [StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed)];
+            for op in ops {
+                let is_start = matches!(op, BatchOp::Start(_));
+                match op {
+                    BatchOp::Insert(f) => {
+                        let f = FileId(f);
+                        if !store.contains(f) {
+                            let evicted = store.insert(f);
+                            for (view, combo) in views.iter_mut().zip(&mut combos) {
+                                for &e in &evicted {
+                                    let rc = store.ref_count(e);
+                                    view.on_file_evicted_pruning(&idx, e, rc, |t| pool.contains(t));
+                                    combo.on_file_evicted(0, &idx, view, e, rc, &pool);
+                                }
+                                let rc = store.ref_count(f);
+                                view.on_file_added_pruning(&idx, f, rc, |t| pool.contains(t));
+                                combo.on_file_added(0, &idx, view, f, rc, &pool);
+                            }
+                        }
+                    }
+                    BatchOp::Start(files) => {
+                        let files: Vec<FileId> =
+                            files.into_iter().map(FileId).filter(|&f| store.contains(f)).collect();
+                        for &f in &files {
+                            store.record_task_reference(f);
+                        }
+                        let live = |t| pool.contains(t);
+                        let batched = views[0].on_task_references(&idx, &files, &mut scratch, live);
+                        combos[0].on_task_references(0, batched);
+                        let mut sequential = 0;
+                        for &f in &files {
+                            sequential += reference_sequential(&mut views[1], &idx, f, live);
+                        }
+                        combos[1].on_task_references(0, sequential);
+                        prop_assert_eq!(batched, sequential);
+                    }
+                    BatchOp::Toggle(t) => {
+                        if (t as usize) < workload.task_count() {
+                            let t = TaskId(t);
+                            let files = workload.task(t).files();
+                            if pool.remove(t) {
+                                for (v, combo) in combos.iter_mut().enumerate() {
+                                    combo.on_pool_remove(&idx, t, files, &views[v..=v]);
+                                }
+                            } else {
+                                pool.insert(t);
+                                for (v, combo) in combos.iter_mut().enumerate() {
+                                    combo.on_pool_insert(&idx, t, files, &views[v..=v]);
+                                }
+                                log.record(t, &mut views);
+                            }
+                        }
+                    }
+                }
+                for t in 0..workload.task_count() {
+                    let t = TaskId(t as u32);
+                    prop_assert_eq!(views[0].overlap(t), views[1].overlap(t));
+                    prop_assert_eq!(views[0].refsum(t), views[1].refsum(t), "refsum of {}", t);
+                }
+                let ranks = [views[0].rank().expect("enabled"), views[1].rank().expect("enabled")];
+                prop_assert_eq!(&ranks[0].member, &ranks[1].member);
+                prop_assert_eq!(ranks[0].len(), ranks[1].len());
+                prop_assert_eq!(rank_contents(&views[0]), rank_contents(&views[1]));
+                let totals = [combos[0].totals(0), combos[1].totals(0)];
+                prop_assert_eq!(totals[0].0, totals[1].0);
+                prop_assert_eq!(totals[0].1.to_bits(), totals[1].1.to_bits());
+                if is_start {
+                    let mut picks = Vec::new();
+                    for ((view, rng), total) in views.iter_mut().zip(&mut rngs).zip(totals) {
+                        view.assert_consistent(&idx, &workload, &store);
+                        view.sync_pending(&idx, &log, |t| pool.contains(t));
+                        let total = (metric == WeightMetric::Combined).then_some(total);
+                        picks.push(view.pick_ranked(&chooser, rng, |t| pool.contains(t), total));
+                    }
+                    prop_assert_eq!(picks[0], picks[1], "metric {} n {}", metric, n);
+                    prop_assert_eq!(rank_contents(&views[0]), rank_contents(&views[1]));
+                }
             }
         }
     }

@@ -251,9 +251,22 @@ pub trait Scheduler {
         let _ = (site, file, ref_count);
     }
 
-    /// A task at `site` referenced `file` (`r_i` incremented by one).
+    /// A task started at `site` and referenced each of `files` (`r_i`
+    /// incremented by one per file, all resident). The engine calls this
+    /// once per task start, after the store has recorded every reference,
+    /// so an implementation can visit each affected task once however
+    /// many of the files it reads.
+    fn on_task_references(&mut self, site: SiteId, files: &[FileId]) {
+        let _ = (site, files);
+    }
+
+    /// A task at `site` referenced `file` (`r_i` incremented by one). The
+    /// engine never calls this — it batches a task start's references
+    /// through [`on_task_references`](Scheduler::on_task_references) —
+    /// and the provided method forwards a one-element slice there, for
+    /// callers that replay references one file at a time.
     fn on_task_reference(&mut self, site: SiteId, file: FileId) {
-        let _ = (site, file);
+        self.on_task_references(site, std::slice::from_ref(&file));
     }
 
     /// Number of tasks that have not yet completed anywhere.

@@ -44,7 +44,7 @@ use gridsched_workload::{FileId, TaskId, Workload};
 
 use crate::control::ControlDirective;
 use crate::ids::{GridEnv, SiteId, WorkerId};
-use crate::index::{enable_ranks, FileIndex, PendingLog, RankStats, SiteView};
+use crate::index::{enable_ranks, FileIndex, PendingLog, RankStats, RefScratch, SiteView};
 use crate::pool::TaskPool;
 use crate::scheduler::{Assignment, CompletionOutcome, EvalMode, ReplicaThrottle, Scheduler};
 use crate::weight::WeightMetric;
@@ -141,6 +141,8 @@ pub struct StorageAffinity {
     /// Become-live journal: cap releases of still-pending tasks append
     /// here; each site's rank re-admits them on its next read.
     log: PendingLog,
+    /// Scratch of the batched reference hook.
+    refs: RefScratch,
     /// Hot-path instruments for the ranked replica walks (inert unless
     /// telemetry is attached).
     stats: RankStats,
@@ -178,6 +180,7 @@ impl StorageAffinity {
             task_replicas: vec![0; tasks],
             site_inflight: Vec::new(),
             log: PendingLog::new(),
+            refs: RefScratch::default(),
             stats: RankStats::default(),
             admits: Counter::disabled(),
             parks: Counter::disabled(),
@@ -567,12 +570,12 @@ impl Scheduler for StorageAffinity {
         }
     }
 
-    fn on_task_reference(&mut self, site: SiteId, file: FileId) {
+    fn on_task_references(&mut self, site: SiteId, files: &[FileId]) {
         if let Some(view) = self.views.get_mut(site.index()) {
             let pending = &self.pending;
             let cap = self.throttle.replica_cap;
             let task_replicas = &self.task_replicas;
-            view.on_task_reference_pruning(&self.index, file, |t| {
+            view.on_task_references(&self.index, files, &mut self.refs, |t| {
                 pending.contains(t) && cap.is_none_or(|c| task_replicas[t.index()] < c)
             });
         }

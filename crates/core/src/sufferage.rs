@@ -53,7 +53,7 @@ use gridsched_telemetry::Telemetry;
 use gridsched_workload::{FileId, TaskId, Workload};
 
 use crate::ids::{GridEnv, SiteId, WorkerId};
-use crate::index::{enable_ranks, FileIndex, PendingLog, RankStats, SiteView};
+use crate::index::{enable_ranks, FileIndex, PendingLog, RankStats, RefScratch, SiteView};
 use crate::pool::TaskPool;
 use crate::scheduler::{Assignment, CompletionOutcome, EvalMode, Scheduler};
 use crate::weight::WeightMetric;
@@ -91,6 +91,8 @@ pub struct Sufferage {
     contest: Vec<BTreeSet<(u64, u32)>>,
     /// Become-live journal for the lazy fallback ranks.
     log: PendingLog,
+    /// Scratch of the batched reference hook.
+    refs: RefScratch,
     completed: usize,
     /// Hot-path instruments for the fallback ranked walks (inert unless
     /// telemetry is attached).
@@ -128,6 +130,7 @@ impl Sufferage {
             best: Vec::new(),
             contest: Vec::new(),
             log: PendingLog::new(),
+            refs: RefScratch::default(),
             completed: 0,
             stats: RankStats::default(),
         }
@@ -366,10 +369,10 @@ impl Scheduler for Sufferage {
         }
     }
 
-    fn on_task_reference(&mut self, site: SiteId, file: FileId) {
+    fn on_task_references(&mut self, site: SiteId, files: &[FileId]) {
         if let Some(view) = self.views.get_mut(site.index()) {
             let pool = &self.pool;
-            view.on_task_reference_pruning(&self.index, file, |t| pool.contains(t));
+            view.on_task_references(&self.index, files, &mut self.refs, |t| pool.contains(t));
         }
     }
 

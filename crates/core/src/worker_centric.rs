@@ -28,7 +28,9 @@ use gridsched_telemetry::Telemetry;
 
 use crate::choose::ChooseTask;
 use crate::ids::{GridEnv, SiteId, WorkerId};
-use crate::index::{enable_ranks, ComboAggregates, FileIndex, PendingLog, RankStats, SiteView};
+use crate::index::{
+    enable_ranks, ComboAggregates, FileIndex, PendingLog, RankStats, RefScratch, SiteView,
+};
 use crate::pool::TaskPool;
 use crate::scheduler::{Assignment, CompletionOutcome, EvalMode, Scheduler};
 use crate::weight::{weigh_all_naive, WeightMetric};
@@ -61,6 +63,8 @@ pub struct WorkerCentric {
     /// Exact `combined` normalisers, maintained sparsely (incremental mode
     /// with [`WeightMetric::Combined`] only).
     combo: Option<ComboAggregates>,
+    /// Scratch of the batched reference hook.
+    refs: RefScratch,
     rng: StdRng,
     running: usize,
     completed: usize,
@@ -87,6 +91,7 @@ impl WorkerCentric {
             views: Vec::new(),
             log: PendingLog::new(),
             combo: None,
+            refs: RefScratch::default(),
             rng: StdRng::seed_from_u64(derive_seed(seed, Stream::Scheduler)),
             running: 0,
             completed: 0,
@@ -115,6 +120,7 @@ impl WorkerCentric {
             views: Vec::new(),
             log: PendingLog::new(),
             combo: None,
+            refs: RefScratch::default(),
             rng: StdRng::seed_from_u64(derive_seed(seed, Stream::Scheduler)),
             running: 0,
             completed: 0,
@@ -285,12 +291,13 @@ impl Scheduler for WorkerCentric {
         }
     }
 
-    fn on_task_reference(&mut self, site: SiteId, file: FileId) {
+    fn on_task_references(&mut self, site: SiteId, files: &[FileId]) {
         if let Some(view) = self.views.get_mut(site.index()) {
             let pool = &self.pool;
-            view.on_task_reference_pruning(&self.index, file, |t| pool.contains(t));
+            let pending_delta =
+                view.on_task_references(&self.index, files, &mut self.refs, |t| pool.contains(t));
             if let Some(combo) = self.combo.as_mut() {
-                combo.on_task_reference(site.index(), &self.index, file, &self.pool);
+                combo.on_task_references(site.index(), pending_delta);
             }
         }
     }

@@ -982,12 +982,14 @@ impl GridSim {
         self.ledger.per_site[site].tasks_started += 1;
 
         let task = self.task_of(w);
-        let files: Vec<FileId> = self.config.workload.task(task).files().to_vec();
-        for &f in &files {
+        let workload = Arc::clone(&self.config.workload);
+        let files = workload.task(task).files();
+        for &f in files {
             self.stores[site].record_task_reference(f);
-            self.scheduler.on_task_reference(SiteId(site as u32), f);
         }
-        self.maybe_replicate(&files, site);
+        self.scheduler
+            .on_task_references(SiteId(site as u32), files);
+        self.maybe_replicate(files, site);
 
         // Checkpoint restore: a re-executed task resumes from its latest
         // surviving image instead of recomputing from scratch. A remote
